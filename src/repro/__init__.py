@@ -7,8 +7,8 @@ system from first principles on NumPy:
 * :mod:`repro.core` — the COM-AID encode-decode network with text and
   structure attention, its trainer, the two-phase online linker, and
   the expert-feedback controller;
-* :mod:`repro.engine` — precompiled concept artifacts and the sharded
-  scatter-gather linking engine;
+* :mod:`repro.engine` — precompiled concept artifacts and the linking
+  engine that serves from them;
 * :mod:`repro.embeddings` — CBOW pre-training with concept-id
   injection;
 * :mod:`repro.baselines` — the paper's five competitor methods;

@@ -16,7 +16,7 @@ Two kinds of exports:
   lifecycle without touching internal modules.
 * **Re-exported building blocks** — the config dataclasses, the model
   and trainer, datasets/embeddings/ontology/KB substrates, baselines,
-  metrics, persistence, the sharded engine, and the serving layer —
+  metrics, persistence, the concept engine, and the serving layer —
   for code that composes the pieces directly.
 
 Deep imports (``repro.core.linker`` etc.) keep working but are
@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-#: Public API version.  ``major.minor``: the minor bumps when the
-#: surface grows compatibly, the major when anything is removed or
-#: changes shape.  ``tools/check_api.py`` pins the exported surface to
-#: this value.
-API_VERSION = "1.5"
+#: Public API version.  ``major.minor``: the minor bumps whenever the
+#: exported surface changes; the major is the ``/v1`` HTTP route
+#: contract.  ``tools/check_api.py`` pins the exported surface to this
+#: value.
+API_VERSION = "1.6"
 
 #: Lazily resolved re-exports: public name → (module, attribute).
 _EXPORTS: Dict[str, Tuple[str, str]] = {
@@ -82,12 +82,11 @@ _EXPORTS: Dict[str, Tuple[str, str]] = {
     "save_pipeline": ("repro.core.persistence", "save_pipeline"),
     "load_pipeline": ("repro.core.persistence", "load_pipeline"),
     "verify_pipeline": ("repro.core.persistence", "verify_pipeline"),
-    # sharded engine + artifacts
+    # concept engine + artifacts
     "ConceptArtifact": ("repro.engine.compile", "ConceptArtifact"),
     "load_artifact": ("repro.engine.compile", "load_artifact"),
     "verify_artifact": ("repro.engine.compile", "verify_artifact"),
     "ShardedConceptEngine": ("repro.engine.shards", "ShardedConceptEngine"),
-    "ShardFailure": ("repro.engine.shards", "ShardFailure"),
     # retrieval subsystem
     "InvertedIndex": ("repro.retrieval.inverted", "InvertedIndex"),
     "DenseIndex": ("repro.retrieval.ann", "DenseIndex"),
@@ -210,8 +209,8 @@ def load_linker(
     With ``verify`` (the default here — unlike the lower-level loader,
     this is the serving-facing entry point) every artifact is
     checksummed against the manifest first.  ``linker_config`` may set
-    ``artifact_dir``/``shards`` to serve from a compiled artifact via
-    the sharded engine.
+    ``artifact_dir`` to serve from a compiled artifact via the concept
+    engine.
     """
     from repro.core.persistence import load_pipeline
 
@@ -349,7 +348,7 @@ def compile_artifact(
     index: str = "none",
     index_seed: int = 0,
 ) -> "Any":
-    """Compile a concept artifact for the sharded engine.
+    """Compile a concept artifact for the concept engine.
 
     Encodes every fine-grained concept once (encoder states, structure
     memories, Phase-I index documents + global TF-IDF statistics) into

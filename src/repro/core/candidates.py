@@ -7,12 +7,9 @@ top-``k`` cosine-similar concepts.  The matcher also exposes the
 ontology word vocabulary Ω that query rewriting replaces OOV words
 into.
 
-For the sharded engine (:mod:`repro.engine.shards`) a generator can be
-restricted to a shard's concepts while weighting with the *global*
-corpus statistics (``corpus_stats``), which keeps every shard's cosines
-on the same scale as one monolithic index — the precondition for
-scatter-gather top-k merging to reproduce the unsharded ranking
-exactly.
+For the concept engine (:mod:`repro.engine.shards`) a generator is
+built from a compiled artifact's frozen documents and weighted with the
+corpus statistics (``corpus_stats``) pinned in that artifact.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ class CandidateGenerator:
 
         ``restrict_to`` limits the index to the named concepts (in
         ontology order); ``corpus_stats`` overrides the IDF statistics
-        with externally supplied global ones, so a restricted (shard)
+        with externally supplied global ones, so a restricted
         index scores on the same scale as the full index.
         """
         documents = concept_documents(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, ClassVar, Dict, Mapping, Optional, Union
@@ -28,10 +27,6 @@ RETRIEVAL_MODES = ("exact", "sparse", "dense", "hybrid")
 #: Score-fusion methods for hybrid retrieval.
 FUSION_METHODS = ("weighted_sum", "rrf")
 
-#: Ceiling for ``shards="auto"`` — beyond a handful of GIL-sharing
-#: worker threads the scatter overhead outgrows the decode overlap.
-AUTO_SHARDS_MAX = 4
-
 #: Admission-queue overload policies for the multi-process front-end.
 SHED_POLICIES = ("reject_new", "drop_oldest")
 
@@ -43,7 +38,7 @@ class RetrievalConfig:
     Attributes
     ----------
     mode:
-        ``exact`` — the per-shard TF-IDF scan (the default and the
+        ``exact`` — the TF-IDF scan (the default and the
         reference path; rankings identical to every release before the
         retrieval subsystem existed).  ``sparse`` — the array-backed
         inverted index (bit-identical hits, sublinear constant
@@ -253,30 +248,22 @@ class LinkerConfig:
         fail-fast (useful in tests and batch evaluation, where a hidden
         model bug must not be papered over).
     batch_phase2:
-        Score all Phase-II candidates in one lock-step batched decode
-        (``ComAid.score_batch``: one ``(k, ·)`` matmul per decoder
-        timestep) instead of one candidate at a time.  Rankings, scores
-        (to ≤1e-9), and tie order are identical either way — proven by
-        ``tests/core/test_phase2_batching.py`` — so this is purely a
-        latency knob; ``False`` restores the sequential reference path
-        (also the degraded-mode/test oracle).  Budget semantics are
-        preserved: the deadline is checked per candidate while the
-        batch is assembled and once after the all-or-nothing decode.
+        Selects the test and benchmark **oracle**, not a latency knob.
+        ``True`` (the default, and the only serving path) scores every
+        surviving candidate of every query in a ``link``/``link_batch``
+        call with one lock-step decode (``ComAid.score_batch``: one
+        matmul per decoder timestep over the union).  ``False`` selects
+        the sequential reference — one decode per candidate — that the
+        equivalence suites and the benchmark oracle compare against:
+        rankings, tie order and log-probs (to ≤1e-9) must match it.
+        Probe, budget and degraded-mode semantics are the same on both.
     artifact_dir:
         Directory of a compiled concept artifact (``repro compile``).
         When set, the linker loads the artifact (fingerprint-checked
         against the model) and serves Phase I/II entirely from
-        precomputed state via the sharded engine
+        precomputed state via the concept engine
         (:mod:`repro.engine.shards`); unset keeps the runtime-encoding
         path.
-    shards:
-        Shard count S for the scatter-gather engine.  Requires
-        ``artifact_dir``; S=1 (the default) runs the engine inline on
-        the calling thread, S>1 runs shards on a persistent worker
-        pool.  Rankings are identical at any S.  ``"auto"`` sizes the
-        pool to the machine at :meth:`resolve_shards` time: 1 worker on
-        boxes with ≤2 CPUs (where the GIL-sharing pool is pure overhead
-        — the BENCH_shard regression), else ``min(4, cpus − 1)``.
     retrieval:
         Phase-I retrieval strategy (:class:`RetrievalConfig`).  The
         default ``mode="exact"`` preserves the pre-subsystem scan
@@ -287,21 +274,7 @@ class LinkerConfig:
         mmap=True)``) instead of copying it into anonymous memory.  N
         worker processes mapping the same artifact then share one
         physical copy through the page cache — the zero-copy property
-        ``tests/serving/test_zero_copy.py`` measures.  Requires a
-        format-3 artifact for the zero-copy win (older formats fall
-        back to copying with an info log).
-    fuse_phase2:
-        Fuse Phase-II decodes **across queries** of one
-        ``link_batch`` call: all surviving candidates from every query
-        in the batch are scored by a single lock-step ``score_batch``
-        (one GEMM per decode step over the union).  Because
-        ``score_batch`` rows are batch-composition independent (the
-        ``batch_phase2`` invariant), rankings and log-probs are
-        identical to the per-query path to ≤1e-9 — proven by
-        ``tests/core/test_phase2_batching.py`` and the cross-process
-        equivalence suite.  ``False`` (the default) keeps the per-query
-        reference path; the multi-process serving tier turns this on so
-        cross-request micro-batches become one GEMM.
+        ``tests/serving/test_zero_copy.py`` measures.
     """
 
     k: int = 20
@@ -316,10 +289,8 @@ class LinkerConfig:
     degrade_on_error: bool = True
     batch_phase2: bool = True
     artifact_dir: Optional[str] = None
-    shards: Union[int, str] = 1
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     mmap_artifact: bool = False
-    fuse_phase2: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.retrieval, Mapping):
@@ -337,26 +308,6 @@ class LinkerConfig:
             )
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
-        if isinstance(self.shards, str):
-            if self.shards != "auto":
-                raise ConfigurationError(
-                    f"shards must be an integer >= 1 or 'auto', got "
-                    f"{self.shards!r}"
-                )
-        elif self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}"
-            )
-        if (
-            isinstance(self.shards, int)
-            and self.shards > 1
-            and self.artifact_dir is None
-        ):
-            raise ConfigurationError(
-                "shards > 1 requires artifact_dir (the sharded engine "
-                "serves from a compiled concept artifact; run "
-                "`repro compile` first)"
-            )
         if self.mmap_artifact and self.artifact_dir is None:
             raise ConfigurationError(
                 "mmap_artifact requires artifact_dir (only a compiled "
@@ -388,24 +339,6 @@ class LinkerConfig:
                 "phase2_budget_s must be >= 0 (0 = unlimited), got "
                 f"{self.phase2_budget_s}"
             )
-
-    def resolve_shards(self) -> int:
-        """The effective worker count S for this machine.
-
-        An explicit integer is returned unchanged.  ``"auto"`` resolves
-        to 1 without an artifact (no engine, no pool) or on machines
-        with ≤2 CPUs — a thread pool under those conditions loses to
-        the inline path (the 1-CPU BENCH_shard regression: 653 qps at
-        S=4 vs 722 at S=1) — and to ``min(4, cpus − 1)`` otherwise.
-        """
-        if self.shards != "auto":
-            return int(self.shards)
-        if self.artifact_dir is None:
-            return 1
-        cpus = os.cpu_count() or 1
-        if cpus <= 2:
-            return 1
-        return min(AUTO_SHARDS_MAX, cpus - 1)
 
 
 @dataclass(frozen=True)
@@ -774,9 +707,8 @@ class TenantConfig:
             "retrieval": dataclasses.replace(
                 base.retrieval, mode=self.retrieval_mode
             ),
-            # mmap/shards only make sense over a compiled artifact.
+            # mmap only makes sense over a compiled artifact.
             "mmap_artifact": base.mmap_artifact and self.artifact_dir is not None,
-            "shards": base.shards if self.artifact_dir is not None else 1,
         }
         if self.k > 0:
             overrides["k"] = self.k

@@ -7,11 +7,13 @@ index (CR).
 Phase II — re-rank with COM-AID: for each candidate, compute
 ``log p(q|c; Θ)`` with the trained model (ED), after temporarily
 removing the words the query shares with the candidate's canonical
-description; rank by score (RT).  With ``LinkerConfig.batch_phase2``
-(the default) all k candidates are scored by one lock-step batched
-decode (:meth:`repro.core.comaid.ComAid.score_batch`) instead of k
-sequential decodes — identical rankings, ~an order less Python/matvec
-overhead on the Figure 11 "ED" bottleneck.
+description; rank by score (RT).  Every surviving candidate of every
+query in a :meth:`NeuralConceptLinker.link` or
+:meth:`NeuralConceptLinker.link_batch` call is scored by one lock-step
+decode (:meth:`repro.core.comaid.ComAid.score_batch`) — a single query
+is a one-item batch.  ``LinkerConfig.batch_phase2=False`` selects the
+per-candidate sequential decode instead: the reference oracle the
+equivalence suites and the benchmark compare against.
 
 Timing of the four parts (OR/CR/ED/RT) is recorded per query, which is
 exactly the decomposition the paper's Figure 11 reports.  Concept
@@ -19,8 +21,7 @@ encodings are cached in thread-safe bounded LRUs
 (:class:`repro.serving.cache.LRUCache`, capacity from
 ``LinkerConfig.encoding_cache_size``), mirroring the paper's
 observation that the encode-decode forward passes dominate online
-cost; :meth:`NeuralConceptLinker.link_batch` additionally amortises
-those encodings across a batch of queries for the serving layer.
+cost.
 """
 
 from __future__ import annotations
@@ -134,11 +135,10 @@ class NeuralConceptLinker:
         ``engine`` injects a pre-built
         :class:`repro.engine.shards.ShardedConceptEngine`; without one,
         ``config.artifact_dir`` (if set) loads the compiled artifact —
-        fingerprint-checked against ``model`` — and builds an engine
-        with ``config.shards`` shards.  With an engine active, Phase I
-        runs scatter-gather retrieval and Phase II scores from the
-        precomputed encoding slab; rankings are identical to the
-        runtime-encoding path.
+        fingerprint-checked against ``model`` — and builds the engine.
+        With an engine active, Phase I retrieves from the engine and
+        Phase II scores from the precomputed encoding slab; rankings
+        are identical to the runtime-encoding path.
         """
         self.model = model
         self.ontology = ontology
@@ -148,8 +148,7 @@ class NeuralConceptLinker:
         self._kb = kb
         self._word_vectors = word_vectors
         self._restrict_to = restrict_to
-        self._engine = engine
-        if self._engine is None and self.config.artifact_dir is not None:
+        if engine is None and self.config.artifact_dir is not None:
             if restrict_to is not None:
                 raise ConfigurationError(
                     "restrict_to cannot be combined with artifact_dir: the "
@@ -172,12 +171,8 @@ class NeuralConceptLinker:
                     f"with index_aliases={self.config.index_aliases}; "
                     "recompile or align the config"
                 )
-            self._engine = ShardedConceptEngine(
-                model,
-                ontology,
-                artifact,
-                shards=self.config.resolve_shards(),
-                retrieval=self.config.retrieval,
+            engine = ShardedConceptEngine(
+                model, ontology, artifact, retrieval=self.config.retrieval
             )
         self._log_priors: Optional[Dict[str, float]] = None
         if priors is not None:
@@ -194,26 +189,39 @@ class NeuralConceptLinker:
             self._log_priors = {
                 cid: math.log(mass / total) for cid, mass in priors.items()
             }
-        if self._engine is not None:
-            # The monolithic generator is rebuilt from the artifact's
-            # *frozen* documents (not live ontology + KB state) so Ω
-            # and any direct `candidates` use can never drift from what
-            # the engine's shards serve.
-            self.candidates = CandidateGenerator.from_documents(
-                ontology, self._engine.artifact.documents
-            )
+        self._adopt_engine(engine)
+        #: Provenance from the deployment manifest (seed, resume point,
+        #: training losses …); populated by ``load_pipeline`` and
+        #: surfaced by the serving layer's ``/metrics``.
+        self.pipeline_metadata: Dict[str, Any] = {}
+
+    def _adopt_engine(self, engine: Optional[object]) -> None:
+        """Install ``engine`` and rebuild everything derived from it.
+
+        Phase-I candidates come from the engine's own generator (built
+        over the artifact's *frozen* documents, so Ω and any direct
+        ``candidates`` use can never drift from what the engine
+        serves), or from the live ontology + KB without an engine.
+        The OOV rewriter and the scoring vocabulary follow from the
+        candidates.  The encoding caches are *replaced*, not cleared:
+        an in-flight ``get_or_create`` computed against the previous
+        model can only land in the orphaned cache object.
+        """
+        self._engine = engine
+        if engine is not None:
+            self.candidates = engine.candidates
         else:
             self.candidates = CandidateGenerator(
-                ontology,
-                kb=kb,
+                self.ontology,
+                kb=self._kb,
                 index_aliases=self.config.index_aliases,
-                restrict_to=restrict_to,
+                restrict_to=self._restrict_to,
             )
         self.rewriter: Optional[QueryRewriter] = None
         if self.config.rewrite_queries:
             self.rewriter = QueryRewriter(
                 self.candidates.omega,
-                word_vectors=word_vectors,
+                word_vectors=self._word_vectors,
                 edit_distance_max=self.config.edit_distance_max,
                 min_similarity=self.config.rewrite_min_similarity,
             )
@@ -222,8 +230,8 @@ class NeuralConceptLinker:
         # probabilities carry learned signal.
         self._omega = self.candidates.omega
         self._scoring_vocabulary = set(self._omega)
-        if kb is not None:
-            for _, alias in kb.labeled_snippets():
+        if self._kb is not None:
+            for _, alias in self._kb.labeled_snippets():
                 self._scoring_vocabulary.update(tokenize(alias))
         capacity = self.config.encoding_cache_size or None
         self._encoding_cache: LRUCache[str, ConceptEncoding] = LRUCache(
@@ -232,16 +240,12 @@ class NeuralConceptLinker:
         self._ancestor_cache: LRUCache[str, List[ConceptEncoding]] = LRUCache(
             capacity, name="ancestors"
         )
-        #: Provenance from the deployment manifest (seed, resume point,
-        #: training losses …); populated by ``load_pipeline`` and
-        #: surfaced by the serving layer's ``/metrics``.
-        self.pipeline_metadata: Dict[str, Any] = {}
 
     # -- engine --------------------------------------------------------------
 
     @property
     def engine(self) -> Optional[object]:
-        """The active sharded engine, or None (runtime-encoding path)."""
+        """The active concept engine, or None (runtime-encoding path)."""
         return self._engine
 
     @property
@@ -298,33 +302,7 @@ class NeuralConceptLinker:
                 )
         previous = (self.model, self._engine)
         self.model = model
-        self._engine = engine
-        if engine is not None:
-            self.candidates = CandidateGenerator.from_documents(
-                self.ontology, engine.artifact.documents
-            )
-        else:
-            self.candidates = CandidateGenerator(
-                self.ontology,
-                kb=self._kb,
-                index_aliases=self.config.index_aliases,
-                restrict_to=self._restrict_to,
-            )
-        if self.config.rewrite_queries:
-            self.rewriter = QueryRewriter(
-                self.candidates.omega,
-                word_vectors=self._word_vectors,
-                edit_distance_max=self.config.edit_distance_max,
-                min_similarity=self.config.rewrite_min_similarity,
-            )
-        self._omega = self.candidates.omega
-        self._scoring_vocabulary = set(self._omega)
-        if self._kb is not None:
-            for _, alias in self._kb.labeled_snippets():
-                self._scoring_vocabulary.update(tokenize(alias))
-        capacity = self.config.encoding_cache_size or None
-        self._encoding_cache = LRUCache(capacity, name="encodings")
-        self._ancestor_cache = LRUCache(capacity, name="ancestors")
+        self._adopt_engine(engine)
         if artifact_dir is not None:
             import dataclasses
 
@@ -392,7 +370,7 @@ class NeuralConceptLinker:
     def link(self, query: str, k: Optional[int] = None) -> LinkResult:
         """Link ``query`` to its top fine-grained concepts."""
         prepared = self._phase_one(query, self._resolve_k(k))
-        return self._phase_two(prepared)
+        return self._phase_two([prepared], [None])[0]
 
     def link_batch(
         self,
@@ -400,15 +378,13 @@ class NeuralConceptLinker:
         k: Union[None, int, Sequence[Optional[int]]] = None,
         trace_contexts: Optional[Sequence[object]] = None,
     ) -> List[LinkResult]:
-        """Link several queries, amortising Phase-II concept encodings.
+        """Link several queries with one Phase-II decode for the batch.
 
-        Phase I (OR + CR) runs for every query first, then the union of
-        candidate concepts is encoded once — a concept appearing in
-        several queries' candidate sets pays its (dominant, per Figure
-        11) encode cost a single time per batch, with the shared-encode
-        seconds attributed to the first query that needs the concept.
-        Rankings are identical to calling :meth:`link` per query in any
-        order; batching changes the work schedule, not the scores.
+        Phase I (OR + CR) runs for every query first, then every
+        query's surviving candidates are scored together (see
+        :meth:`_phase_two`).  Rankings are identical to calling
+        :meth:`link` per query in any order; batching changes the work
+        schedule, not the scores.
 
         ``k`` may be a single value for the whole batch or one
         (possibly ``None``) entry per query.
@@ -443,17 +419,7 @@ class NeuralConceptLinker:
         for query, top_k, context in zip(queries, top_ks, contexts):
             with trace.attach(context):
                 prepared.append(self._phase_one(query, top_k))
-        if (
-            self.config.fuse_phase2
-            and self.config.batch_phase2
-            and len(prepared) > 1
-        ):
-            return self._phase_two_fused(prepared, contexts)
-        results = []
-        for item, context in zip(prepared, contexts):
-            with trace.attach(context):
-                results.append(self._phase_two(item))
-        return results
+        return self._phase_two(prepared, contexts)
 
     def _resolve_k(self, k: Optional[int]) -> int:
         top_k = k if k is not None else self.config.k
@@ -483,7 +449,6 @@ class NeuralConceptLinker:
                 keyword_hits = []
             elif self._engine is not None:
                 keyword_hits = self._engine.retrieve(rewritten, top_k)
-                span.set_tag("shards", self._engine.shards)
             else:
                 keyword_hits = self.candidates.generate(rewritten, k=top_k)
             span.set_tag("candidates", len(keyword_hits))
@@ -496,57 +461,180 @@ class NeuralConceptLinker:
             timer=timer,
         )
 
-    def _phase_two(self, prepared: "_PreparedQuery") -> LinkResult:
+    def _phase_two(
+        self,
+        prepared_list: List["_PreparedQuery"],
+        contexts: Sequence[object],
+    ) -> List[LinkResult]:
         """Phase II: COM-AID scoring (ED) and ranking (RT).
 
-        ``batch_phase2`` selects between the lock-step batched decode
-        (:meth:`ComAid.score_batch`, the default hot path) and the
-        per-candidate sequential reference; both produce identical
-        rankings, scores, and tie order (the equivalence suite's
-        guarantee), so the choice is purely about latency.
+        Every query's surviving candidates are concatenated into one
+        ``score_batch`` call — one GEMM per decoder timestep over the
+        union of in-flight candidates.  ``score_batch`` rows do not
+        depend on batch composition, so each query's scores equal the
+        sequential reference's (≤1e-9).  ``batch_phase2=False`` runs
+        that reference (:meth:`_phase_two_sequential`) instead.
 
-        Phase II is guarded either way: when scoring raises (and
+        Phase II is guarded per query: when scoring raises (and
         ``degrade_on_error`` is set) or overruns ``phase2_budget_s``,
         the query degrades to the Phase I keyword ranking instead of
         failing — Phase I is already computed at this point and a
         keyword-ranked answer beats an error for an interactive
-        clinical user.
+        clinical user.  The ``linker.phase2`` probe and the deadline
+        are checked per candidate while the batch is assembled; the
+        all-or-nothing decode sits behind ``linker.phase2.batch`` and
+        is followed by one more deadline check per query.
+
+        The shared decode runs under the first contributing query's
+        ``linker.phase2`` span, and its wall time is attributed to that
+        query's ED phase — splitting it would fabricate per-query
+        latencies for work that was done once.
         """
-        timer = prepared.timer
+        if not self.config.batch_phase2:
+            results = []
+            for prepared, context in zip(prepared_list, contexts):
+                with trace.attach(context):
+                    results.append(self._phase_two_sequential(prepared))
+            return results
         config = self.config
-        scored: List[RankedConcept] = []
-        degraded_reason: Optional[str] = None
-        with timer.phase("ED"), trace.span(
-            "linker.phase2",
-            phase="ED",
-            candidates=len(prepared.keyword_hits),
-            mode="batched" if config.batch_phase2 else "sequential",
-        ) as ed_span:
-            budget = config.phase2_budget_s
-            deadline = (time.monotonic() + budget) if budget > 0 else None
-            try:
-                if config.batch_phase2:
-                    scored, degraded_reason = self._phase_two_batched(
-                        prepared, deadline, budget
+        budget = config.phase2_budget_s
+        count = len(prepared_list)
+        spans: List[Any] = [None] * count
+        deadlines: List[Optional[float]] = [None] * count
+        degraded: List[Optional[str]] = [None] * count
+        log_probs: List[List[float]] = []
+        pending_ids: List[List[int]] = []
+        pending_owner: List[Tuple[int, int]] = []
+        try:
+            for qi, prepared in enumerate(prepared_list):
+                hits = prepared.keyword_hits
+                log_probs.append([0.0] * len(hits))
+                start = len(pending_owner)
+                with trace.attach(contexts[qi]):
+                    spans[qi] = trace.start_span(
+                        "linker.phase2", phase="ED", candidates=len(hits)
                     )
+                if budget > 0:
+                    deadlines[qi] = time.monotonic() + budget
+                with prepared.timer.phase("ED"), trace.attach(spans[qi]):
+                    try:
+                        for index, (cid, _) in enumerate(hits):
+                            probe("linker.phase2")
+                            if self._past(deadlines[qi]):
+                                degraded[qi] = (
+                                    f"budget: phase2 exceeded {budget:.3f}s "
+                                    f"after {index}/{len(hits)} candidates"
+                                )
+                                break
+                            effective = self._effective_tokens(
+                                cid, prepared.rewritten
+                            )
+                            if effective is not None:
+                                pending_owner.append((qi, index))
+                                pending_ids.append(
+                                    self.model.words_to_ids(effective)
+                                )
+                    except Exception as error:  # noqa: BLE001 - degraded-mode guard
+                        degraded[qi] = self._degrade_reason(prepared, error)
+                if degraded[qi] is not None:
+                    # A degraded query serves its keyword ranking; its
+                    # queued candidates must not ride along in the decode.
+                    del pending_owner[start:]
+                    del pending_ids[start:]
+            if pending_ids:
+                owners = sorted({qi for qi, _ in pending_owner})
+                first = owners[0]
+                cids = [
+                    prepared_list[qi].keyword_hits[index][0]
+                    for qi, index in pending_owner
+                ]
+                try:
+                    with prepared_list[first].timer.phase(
+                        "ED"
+                    ), trace.attach(spans[first]):
+                        scores = self._decode(pending_ids, cids, len(owners))
+                except Exception as error:  # noqa: BLE001 - degraded-mode guard
+                    reason = self._degrade_reason(None, error)
+                    for qi in owners:
+                        degraded[qi] = reason
                 else:
-                    scored, degraded_reason = self._phase_two_sequential(
-                        prepared, deadline, budget
+                    for (qi, index), score in zip(pending_owner, scores):
+                        log_probs[qi][index] = float(score)
+                for qi in owners:
+                    if degraded[qi] is None and self._past(deadlines[qi]):
+                        degraded[qi] = (
+                            f"budget: phase2 exceeded {budget:.3f}s scoring "
+                            f"{len(pending_ids)} candidates in one batch"
+                        )
+        finally:
+            for qi, span in enumerate(spans):
+                if span is not None:
+                    if degraded[qi] is not None:
+                        span.set_tag("degraded_reason", degraded[qi])
+                    span.end()
+        results: List[LinkResult] = []
+        for qi, prepared in enumerate(prepared_list):
+            with trace.attach(contexts[qi]):
+                if degraded[qi] is not None:
+                    results.append(
+                        self._degraded_result(prepared, degraded[qi])
                     )
-            except Exception as error:  # noqa: BLE001 - degraded-mode guard
-                if not config.degrade_on_error:
-                    raise
-                degraded_reason = f"error: {type(error).__name__}: {error}"
-                logger.warning(
-                    "phase2 failed for %r; serving keyword ranking: %s",
-                    prepared.query,
-                    error,
-                )
-            if degraded_reason is not None:
-                ed_span.set_tag("degraded_reason", degraded_reason)
-        if degraded_reason is not None:
-            return self._degraded_result(prepared, degraded_reason)
-        return self._ranked_result(prepared, scored)
+                    continue
+                scored = [
+                    RankedConcept(
+                        cid=cid,
+                        log_prob=log_probs[qi][index],
+                        keyword_score=keyword_score,
+                    )
+                    for index, (cid, keyword_score) in enumerate(
+                        prepared.keyword_hits
+                    )
+                ]
+                results.append(self._ranked_result(prepared, scored))
+        return results
+
+    def _decode(
+        self, query_ids: List[List[int]], cids: List[str], queries: int
+    ) -> Sequence[float]:
+        """The one lock-step decode behind ``linker.phase2.batch``."""
+        probe("linker.phase2.batch")
+        with trace.span(
+            "linker.phase2.decode",
+            phase="ED",
+            batch=len(cids),
+            fused_queries=queries,
+        ) as span:
+            if self._engine is not None:
+                # Candidates came from the engine's own index, so every
+                # cid has a precompiled encoding.
+                span.set_tag("precompiled", True)
+                return self._engine.score_batch(query_ids, cids)
+            if span.is_recording:
+                cached = sum(1 for cid in cids if cid in self._encoding_cache)
+                span.set_tag("encodings_cached", cached)
+                span.set_tag("encodings_missing", len(cids) - cached)
+            batch = [
+                (self._concept_encoding(cid), self._ancestor_encodings(cid))
+                for cid in cids
+            ]
+            return self.model.score_batch(query_ids, batch)
+
+    @staticmethod
+    def _past(deadline: Optional[float]) -> bool:
+        return deadline is not None and time.monotonic() > deadline
+
+    def _degrade_reason(
+        self, prepared: Optional["_PreparedQuery"], error: Exception
+    ) -> str:
+        """The ``error:`` degraded reason, or re-raise when fail-fast."""
+        if not self.config.degrade_on_error:
+            raise error
+        logger.warning(
+            "phase2 failed for %s; serving keyword ranking: %s",
+            repr(prepared.query) if prepared is not None else "the batch",
+            error,
+        )
+        return f"error: {type(error).__name__}: {error}"
 
     def _ranked_result(
         self, prepared: "_PreparedQuery", scored: List[RankedConcept]
@@ -578,267 +666,52 @@ class NeuralConceptLinker:
             timing=timer.breakdown,
         )
 
-    def _phase_two_sequential(
-        self,
-        prepared: "_PreparedQuery",
-        deadline: Optional[float],
-        budget: float,
-    ) -> Tuple[List[RankedConcept], Optional[str]]:
-        """Per-candidate reference path (also the equivalence oracle)."""
-        scored: List[RankedConcept] = []
-        with trace.span(
-            "linker.phase2.decode", phase="ED", mode="sequential"
-        ):
-            for cid, keyword_score in prepared.keyword_hits:
-                probe("linker.phase2")
-                if deadline is not None and time.monotonic() > deadline:
-                    return scored, (
-                        f"budget: phase2 exceeded {budget:.3f}s after "
-                        f"{len(scored)}/{len(prepared.keyword_hits)} candidates"
-                    )
-                log_prob = self._score_candidate(cid, prepared.rewritten)
-                scored.append(
-                    RankedConcept(
-                        cid=cid, log_prob=log_prob, keyword_score=keyword_score
-                    )
-                )
-        return scored, None
+    def _phase_two_sequential(self, prepared: "_PreparedQuery") -> LinkResult:
+        """Per-candidate reference decode (the ``batch_phase2=False`` oracle).
 
-    def _phase_two_batched(
-        self,
-        prepared: "_PreparedQuery",
-        deadline: Optional[float],
-        budget: float,
-    ) -> Tuple[List[RankedConcept], Optional[str]]:
-        """Lock-step ED: one batched decode across all candidates.
-
-        The per-candidate ``linker.phase2`` probe and deadline check
-        survive in the assembly loop (identical fault-injection and
-        budget semantics to the sequential path); the batched decode
-        itself sits behind the dedicated ``linker.phase2.batch`` site.
-        The decode is all-or-nothing, so a budget overrun inside it is
-        detected after the fact and degrades the query exactly like a
-        sequential mid-flight overrun.
+        Same probe, budget and degraded-mode semantics as
+        :meth:`_phase_two`, one ``score_with_encodings`` call per
+        candidate.
         """
+        timer = prepared.timer
         hits = prepared.keyword_hits
-        log_probs: List[Optional[float]] = [None] * len(hits)
-        pending: List[int] = []
-        pending_ids: List[List[int]] = []
-        for index, (cid, _) in enumerate(hits):
-            probe("linker.phase2")
-            if deadline is not None and time.monotonic() > deadline:
-                return [], (
-                    f"budget: phase2 exceeded {budget:.3f}s after "
-                    f"{index}/{len(hits)} candidates"
-                )
-            effective = self._effective_tokens(cid, prepared.rewritten)
-            if effective is None:
-                log_probs[index] = 0.0
-            else:
-                pending.append(index)
-                pending_ids.append(self.model.words_to_ids(effective))
-        if pending:
-            probe("linker.phase2.batch")
-            with trace.span(
-                "linker.phase2.decode", phase="ED", batch=len(pending)
-            ) as span:
-                if self._engine is not None:
-                    # Engine path: candidates came from the engine's own
-                    # index, so every cid has a precompiled encoding;
-                    # scoring is grouped by shard on the worker pool.
-                    span.set_tag("precompiled", True)
-                    scores = self._engine.score_batch(
-                        pending_ids, [hits[index][0] for index in pending]
-                    )
-                else:
-                    if span.is_recording:
-                        cached = sum(
-                            1
-                            for index in pending
-                            if hits[index][0] in self._encoding_cache
-                        )
-                        span.set_tag("encodings_cached", cached)
-                        span.set_tag("encodings_missing", len(pending) - cached)
-                    batch = [
-                        (
-                            self._concept_encoding(hits[index][0]),
-                            self._ancestor_encodings(hits[index][0]),
-                        )
-                        for index in pending
-                    ]
-                    scores = self.model.score_batch(pending_ids, batch)
-            for index, score in zip(pending, scores):
-                log_probs[index] = float(score)
-            if deadline is not None and time.monotonic() > deadline:
-                return [], (
-                    f"budget: phase2 exceeded {budget:.3f}s scoring "
-                    f"{len(pending)} candidates in one batch"
-                )
-        scored = [
-            RankedConcept(
-                cid=cid, log_prob=log_probs[index], keyword_score=keyword_score
-            )
-            for index, (cid, keyword_score) in enumerate(hits)
-        ]
-        return scored, None
-
-    def _phase_two_fused(
-        self,
-        prepared_list: List["_PreparedQuery"],
-        contexts: Sequence[object],
-    ) -> List[LinkResult]:
-        """Cross-query ED fusion: one lock-step decode for a whole batch.
-
-        Every query's surviving candidates are concatenated into a
-        single ``score_batch`` call — one GEMM per decoder timestep over
-        the union of in-flight candidates instead of one per query.
-        ``score_batch`` rows are batch-composition independent (the
-        ``batch_phase2`` invariant), so each query's scores are
-        identical (≤1e-9, observed 0) to the per-query path; assembly
-        probes, per-query budget deadlines, and the degraded-mode guard
-        run per query exactly as in :meth:`_phase_two_batched`.  The
-        shared decode's wall time is attributed to the first fused
-        query's ED phase — splitting it would fabricate per-query
-        latencies for work that was done once.
-        """
-        config = self.config
-        budget = config.phase2_budget_s
-        deadlines: List[Optional[float]] = [None] * len(prepared_list)
-        degraded: List[Optional[str]] = [None] * len(prepared_list)
-        log_probs: List[List[Optional[float]]] = []
-        pending_ids: List[List[int]] = []
-        pending_owner: List[Tuple[int, int]] = []
-        for qi, prepared in enumerate(prepared_list):
-            hits = prepared.keyword_hits
-            log_probs.append([None] * len(hits))
-            start = len(pending_owner)
-            with trace.attach(contexts[qi]):
-                deadline = (time.monotonic() + budget) if budget > 0 else None
-                deadlines[qi] = deadline
-                with prepared.timer.phase("ED"), trace.span(
-                    "linker.phase2",
-                    phase="ED",
-                    candidates=len(hits),
-                    mode="fused",
-                ) as ed_span:
-                    try:
-                        for index, (cid, _) in enumerate(hits):
-                            probe("linker.phase2")
-                            if (
-                                deadline is not None
-                                and time.monotonic() > deadline
-                            ):
-                                degraded[qi] = (
-                                    f"budget: phase2 exceeded {budget:.3f}s "
-                                    f"after {index}/{len(hits)} candidates"
-                                )
-                                break
-                            effective = self._effective_tokens(
-                                cid, prepared.rewritten
-                            )
-                            if effective is None:
-                                log_probs[qi][index] = 0.0
-                            else:
-                                pending_owner.append((qi, index))
-                                pending_ids.append(
-                                    self.model.words_to_ids(effective)
-                                )
-                    except Exception as error:  # noqa: BLE001 - degraded-mode guard
-                        if not config.degrade_on_error:
-                            raise
-                        degraded[qi] = (
-                            f"error: {type(error).__name__}: {error}"
-                        )
-                        logger.warning(
-                            "phase2 failed for %r; serving keyword "
-                            "ranking: %s",
-                            prepared.query,
-                            error,
-                        )
-                    if degraded[qi] is not None:
-                        # A degraded query serves its keyword ranking;
-                        # its queued candidates must not ride along in
-                        # the fused decode.
-                        del pending_owner[start:]
-                        del pending_ids[start:]
-                        ed_span.set_tag("degraded_reason", degraded[qi])
-        if pending_ids:
-            first_qi = pending_owner[0][0]
-            cids = [
-                prepared_list[qi].keyword_hits[index][0]
-                for qi, index in pending_owner
-            ]
+        budget = self.config.phase2_budget_s
+        deadline = (time.monotonic() + budget) if budget > 0 else None
+        scored: List[RankedConcept] = []
+        degraded_reason: Optional[str] = None
+        with timer.phase("ED"), trace.span(
+            "linker.phase2",
+            phase="ED",
+            candidates=len(hits),
+            mode="sequential",
+        ) as ed_span:
             try:
-                with trace.attach(contexts[first_qi]):
-                    probe("linker.phase2.batch")
-                    with prepared_list[first_qi].timer.phase(
-                        "ED"
-                    ), trace.span(
-                        "linker.phase2.decode",
-                        phase="ED",
-                        batch=len(pending_ids),
-                        fused_queries=len({qi for qi, _ in pending_owner}),
-                    ) as span:
-                        if self._engine is not None:
-                            span.set_tag("precompiled", True)
-                            scores = self._engine.score_batch(
-                                pending_ids, cids
-                            )
-                        else:
-                            batch = [
-                                (
-                                    self._concept_encoding(cid),
-                                    self._ancestor_encodings(cid),
-                                )
-                                for cid in cids
-                            ]
-                            scores = self.model.score_batch(
-                                pending_ids, batch
-                            )
-            except Exception as error:  # noqa: BLE001 - degraded-mode guard
-                if not config.degrade_on_error:
-                    raise
-                reason = f"error: {type(error).__name__}: {error}"
-                logger.warning(
-                    "fused phase2 decode failed; serving keyword "
-                    "rankings: %s",
-                    error,
-                )
-                for qi in {owner for owner, _ in pending_owner}:
-                    if degraded[qi] is None:
-                        degraded[qi] = reason
-            else:
-                for (qi, index), score in zip(pending_owner, scores):
-                    log_probs[qi][index] = float(score)
-        results: List[LinkResult] = []
-        for qi, prepared in enumerate(prepared_list):
-            with trace.attach(contexts[qi]):
-                if (
-                    degraded[qi] is None
-                    and deadlines[qi] is not None
-                    and time.monotonic() > deadlines[qi]
+                with trace.span(
+                    "linker.phase2.decode", phase="ED", mode="sequential"
                 ):
-                    degraded[qi] = (
-                        f"budget: phase2 exceeded {budget:.3f}s scoring "
-                        "the fused batch"
-                    )
-                if degraded[qi] is not None:
-                    results.append(
-                        self._degraded_result(prepared, degraded[qi])
-                    )
-                    continue
-                scored = [
-                    RankedConcept(
-                        cid=cid,
-                        log_prob=log_probs[qi][index],
-                        keyword_score=keyword_score,
-                    )
-                    for index, (cid, keyword_score) in enumerate(
-                        prepared.keyword_hits
-                    )
-                ]
-                results.append(self._ranked_result(prepared, scored))
-        return results
+                    for cid, keyword_score in hits:
+                        probe("linker.phase2")
+                        if self._past(deadline):
+                            degraded_reason = (
+                                f"budget: phase2 exceeded {budget:.3f}s after "
+                                f"{len(scored)}/{len(hits)} candidates"
+                            )
+                            break
+                        log_prob = self._score_candidate(cid, prepared.rewritten)
+                        scored.append(
+                            RankedConcept(
+                                cid=cid,
+                                log_prob=log_prob,
+                                keyword_score=keyword_score,
+                            )
+                        )
+            except Exception as error:  # noqa: BLE001 - degraded-mode guard
+                degraded_reason = self._degrade_reason(prepared, error)
+            if degraded_reason is not None:
+                ed_span.set_tag("degraded_reason", degraded_reason)
+        if degraded_reason is not None:
+            return self._degraded_result(prepared, degraded_reason)
+        return self._ranked_result(prepared, scored)
 
     def _degraded_result(
         self, prepared: "_PreparedQuery", reason: str
@@ -886,7 +759,7 @@ class NeuralConceptLinker:
         Numeric tokens are always kept — stage/type numbers are
         load-bearing.
 
-        This is the sequential reference: the batched path applies the
+        This is the sequential reference: :meth:`_phase_two` applies the
         same :meth:`_effective_tokens` filter and must agree with this
         method to ≤1e-9 per candidate (the equivalence suite's oracle).
         """

@@ -26,8 +26,9 @@ The slab layout (format 3) exists for the multi-process serving tier:
 ``np.memmap`` after verifying its checksum, so N forked worker
 processes mapping the same artifact share one copy of the encodings
 through the page cache — zero copies, no pickling of model state.
-Formats 1 and 2 (the pre-slab ``encodings.npz``/``structure.npz``
-layout) still load through the copy path.
+Format 3 is the only format this build reads: older artifacts (the
+pre-slab ``encodings.npz`` layout) are refused with a
+:class:`DataError` asking for a ``repro compile`` rerun.
 
 The artifact is written through :func:`repro.core.persistence.atomic_directory`,
 so a crash mid-compile never corrupts an existing artifact, and
@@ -42,8 +43,8 @@ silently wrong rankings).
 Equivalence: the stored encodings are produced by the very same
 ``encode_concept`` / ``structural_context`` calls the online linker
 would make, so a linker backed by the artifact returns bit-identical
-concept representations — the sharded-engine equivalence suite rests
-on this.
+concept representations — the engine equivalence suite rests on
+this.
 """
 
 from __future__ import annotations
@@ -74,23 +75,17 @@ PathLike = Union[str, Path]
 
 logger = get_logger("engine.compile")
 
-#: Artifact directory format version (bumped on layout changes).
-#: Format 2 added the optional precompiled retrieval indexes
-#: (``index_sparse.npz`` / ``index_dense.npz`` plus the header's
-#: ``retrieval`` section with per-index checksums).  Format 3 replaced
-#: the compressed ``encodings.npz``/``structure.npz`` pair with one
-#: contiguous aligned raw slab (``slab.bin``) so the artifact can be
-#: memory-mapped read-only and shared zero-copy across processes.
+#: Artifact directory format version (bumped on layout changes): one
+#: contiguous aligned raw slab (``slab.bin``) that can be memory-mapped
+#: read-only and shared zero-copy across processes, plus the optional
+#: precompiled retrieval indexes (``index_sparse.npz`` /
+#: ``index_dense.npz``, pinned by the header's ``retrieval`` section).
 ARTIFACT_FORMAT = 3
 
-#: Formats this build can load.  Format-1 artifacts (pre-retrieval)
-#: load unchanged — they simply carry no compiled indexes; format-2
-#: artifacts load through the npz copy path (no mmap).
-SUPPORTED_FORMATS = (1, 2, 3)
+#: Formats this build can load.
+SUPPORTED_FORMATS = (3,)
 
 ARTIFACT_FILE = "artifact.json"
-ENCODINGS_FILE = "encodings.npz"
-STRUCTURE_FILE = "structure.npz"
 SLAB_FILE = "slab.bin"
 SPARSE_INDEX_FILE = "index_sparse.npz"
 DENSE_INDEX_FILE = "index_dense.npz"
@@ -103,11 +98,9 @@ SLAB_ALIGN = 64
 #: What ``compile_artifact(index=...)`` accepts.
 INDEX_CHOICES = ("none", "sparse", "dense", "both")
 
-#: Files a complete artifact must contain (the structure memories and
-#: retrieval indexes are optional).  Formats ≤ 2 require the npz pair's
-#: first element instead of the slab.
+#: Files a complete artifact must contain (the retrieval indexes are
+#: optional).
 REQUIRED_FILES = (ARTIFACT_FILE, SLAB_FILE)
-LEGACY_REQUIRED_FILES = (ARTIFACT_FILE, ENCODINGS_FILE)
 
 
 def _sha256_of(path: Path) -> str:
@@ -161,8 +154,8 @@ def _load_slab(
     With ``mmap`` the file is mapped read-only (``np.memmap``) and
     every array is a zero-copy view into the mapping — N processes
     mapping the same artifact share one physical copy through the page
-    cache.  Without it, arrays are independent in-memory copies (the
-    behaviour of the old npz loader).  ``check`` re-hashes the file
+    cache.  Without it, arrays are independent in-memory copies.
+    ``check`` re-hashes the file
     against the header's sha256 first — the map-time verification that
     turns a truncated or bit-flipped slab into a :class:`DataError`
     naming the file instead of silently wrong scores.
@@ -245,8 +238,7 @@ class ConceptArtifact:
     """An in-memory view of a compiled concept artifact.
 
     Arrays are the slabs exactly as stored; per-concept accessors
-    return zero-copy views into them, so S shards sharing one loaded
-    artifact cost one copy of the encodings in total.
+    return zero-copy views into them.
     """
 
     directory: Path
@@ -264,7 +256,7 @@ class ConceptArtifact:
     documents: List[Tuple[str, List[str]]]
     corpus_stats: CorpusStats
     index_aliases: bool
-    #: Precompiled retrieval indexes (format ≥ 2 with ``--index``);
+    #: Precompiled retrieval indexes (compiled with ``--index``);
     #: ``None`` when the artifact was compiled without them.
     sparse_index: Optional[InvertedIndex] = None
     dense_index: Optional[DenseIndex] = None
@@ -272,8 +264,7 @@ class ConceptArtifact:
     #: training parameters), empty for artifacts without indexes.
     retrieval_meta: Dict[str, Any] = dataclasses.field(default_factory=dict)
     #: Whether the slab arrays are read-only views into an mmap'd file
-    #: (format ≥ 3 loaded with ``mmap=True``) rather than private
-    #: in-memory copies.
+    #: (loaded with ``mmap=True``) rather than private in-memory copies.
     mmap: bool = False
 
     def __post_init__(self) -> None:
@@ -288,9 +279,8 @@ class ConceptArtifact:
     def position_of(self, cid: str) -> int:
         """Global position of ``cid`` in the compiled concept order.
 
-        This order is the monolithic index's insertion order, i.e. the
-        tie-break the unsharded TF-IDF top-k uses — scatter-gather
-        merging sorts on it to reproduce the unsharded ranking exactly.
+        This order is the Phase-I index's insertion order, i.e. the
+        tie-break its TF-IDF top-k uses.
         """
         try:
             return self._positions[cid]
@@ -327,10 +317,6 @@ class ConceptArtifact:
                 "compile` after retraining"
             )
 
-    def monolithic_index(self) -> TfIdfIndex:
-        """One unsharded TF-IDF index over the frozen documents."""
-        return TfIdfIndex().fit(self.documents)
-
 
 def compile_artifact(
     directory: PathLike,
@@ -357,8 +343,8 @@ def compile_artifact(
     the TF-IDF postings into the array-backed inverted index,
     ``"dense"`` k-means-trains the IVF ANN index over the concept
     encoder final states (seeded by ``index_seed``), ``"both"`` does
-    both, and ``"none"`` (the default) keeps the format-1 content —
-    non-exact retrieval modes then build/refuse at engine start.  Each
+    both, and ``"none"`` (the default) compiles no index — non-exact
+    retrieval modes then build/refuse at engine start.  Each
     compiled index file carries its own sha256 in the header's
     ``retrieval`` section, verified again at load.
     """
@@ -496,10 +482,32 @@ def compile_artifact(
     return target
 
 
-def _load_index_arrays(
-    source: Path, entry: Dict[str, Any], verify: bool
-) -> Dict[str, np.ndarray]:
-    """Read one compiled index file, checking its header checksum.
+def _read_header(source: Path) -> Dict[str, Any]:
+    """Parse ``artifact.json`` and refuse formats this build cannot read."""
+    header_path = source / ARTIFACT_FILE
+    if not header_path.exists():
+        raise DataError(f"{source} does not look like a compiled artifact")
+    try:
+        header = json.loads(header_path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DataError(
+            f"artifact file {header_path} is unreadable or not valid JSON: "
+            f"{exc}"
+        ) from exc
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt not in SUPPORTED_FORMATS:
+        raise DataError(
+            f"artifact {source} has format {fmt!r}; this build reads "
+            f"formats {SUPPORTED_FORMATS} — re-run `repro compile` to "
+            "rebuild it"
+        )
+    return header
+
+
+def _checked_index_path(
+    source: Path, kind: str, entry: Any, verify: bool
+) -> Path:
+    """The retrieval index file a header entry names, proven intact.
 
     The ``retrieval`` header entry pins each index file's sha256
     independently of the manifest, so a swapped or regenerated index
@@ -510,7 +518,8 @@ def _load_index_arrays(
         expected = str(entry["sha256"])
     except (KeyError, TypeError) as exc:
         raise DataError(
-            f"artifact {source} has a malformed retrieval entry: {exc}"
+            f"artifact {source} has a malformed retrieval entry for "
+            f"{kind!r}: {exc}"
         ) from exc
     path = source / name
     if not path.exists():
@@ -525,6 +534,11 @@ def _load_index_arrays(
                 f"retrieval index {path} is corrupt: sha256 {actual} != "
                 f"declared {expected}"
             )
+    return path
+
+
+def _load_index_arrays(path: Path) -> Dict[str, np.ndarray]:
+    """Read one compiled retrieval index file."""
     try:
         with np.load(path) as archive:
             return {key: archive[key] for key in archive.files}
@@ -540,56 +554,29 @@ def verify_artifact(directory: PathLike) -> Dict[str, Any]:
 
     Manifest-driven byte-size and SHA-256 checks over every listed
     file, then every *header-pinned* payload is re-hashed against the
-    header's own sha256: the format-3 slab and — for artifacts with
-    compiled retrieval indexes — each index file.  The header pins
-    those independently of the manifest, so even a consistently
-    regenerated manifest cannot smuggle a swapped slab or index past
-    verification.  Returns the parsed manifest, raises
-    :class:`DataError` naming the first offending file otherwise.
+    header's own sha256: the slab and — for artifacts with compiled
+    retrieval indexes — each index file.  The header pins those
+    independently of the manifest, so even a consistently regenerated
+    manifest cannot smuggle a swapped slab or index past verification.
+    Returns the parsed manifest, raises :class:`DataError` naming the
+    first offending file otherwise (or asking for ``repro compile``
+    when the artifact predates format 3).
     """
     from repro.core.persistence import verify_manifest_dir
 
     source = Path(directory)
-    header_path = source / ARTIFACT_FILE
-    try:
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    header = _read_header(source)
+    manifest = verify_manifest_dir(source, REQUIRED_FILES, kind="artifact")
+    if "slab" not in header:
         raise DataError(
-            f"artifact file {header_path} is unreadable or not valid JSON: "
-            f"{exc}"
-        ) from exc
-    required = (
-        REQUIRED_FILES
-        if isinstance(header.get("format"), int) and header["format"] >= 3
-        else LEGACY_REQUIRED_FILES
-    )
-    manifest = verify_manifest_dir(source, required, kind="artifact")
-    if "slab" in header:
-        # Re-hash the slab against the header's pin (see docstring);
-        # this is also exactly the map-time check the mmap loader runs.
-        _load_slab(source, header["slab"], mmap=True, check=True)
+            f"artifact file {source / ARTIFACT_FILE} is missing fields: "
+            "'slab'"
+        )
+    # Re-hash the slab against the header's pin (see docstring); this is
+    # also exactly the map-time check the mmap loader runs.
+    _load_slab(source, header["slab"], mmap=True, check=True)
     for kind in sorted(header.get("retrieval") or {}):
-        entry = header["retrieval"][kind]
-        try:
-            name = str(entry["file"])
-            expected = str(entry["sha256"])
-        except (KeyError, TypeError) as exc:
-            raise DataError(
-                f"artifact {source} has a malformed retrieval entry for "
-                f"{kind!r}: {exc}"
-            ) from exc
-        path = source / name
-        if not path.exists():
-            raise DataError(
-                f"artifact {source} declares retrieval index {name} but "
-                "the file is missing"
-            )
-        actual = _sha256_of(path)
-        if actual != expected:
-            raise DataError(
-                f"retrieval index {path} is corrupt: sha256 {actual} != "
-                f"declared {expected}"
-            )
+        _checked_index_path(source, kind, header["retrieval"][kind], True)
     return manifest
 
 
@@ -613,26 +600,13 @@ def load_artifact(
     makes an N-worker process pool cost O(1) artifact memory.  The
     slab's header checksum is always proven before the map is served —
     by :func:`verify_artifact` when ``verify`` is on, or by a dedicated
-    map-time re-hash when it is off.  Formats 1–2 predate the slab and
-    fall back to the copying ``.npz`` path.
+    map-time re-hash when it is off.
     """
     source = Path(directory)
     if verify:
         verify_artifact(source)
     header_path = source / ARTIFACT_FILE
-    if not header_path.exists():
-        raise DataError(f"{source} does not look like a compiled artifact")
-    try:
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(
-            f"artifact file {header_path} is not valid JSON: {exc}"
-        ) from exc
-    if header.get("format") not in SUPPORTED_FORMATS:
-        raise DataError(
-            f"artifact {source} has format {header.get('format')!r}; this "
-            f"build reads formats {SUPPORTED_FORMATS}"
-        )
+    header = _read_header(source)
     try:
         order = [str(cid) for cid in header["index"]["order"]]
         raw_documents = header["index"]["documents"]
@@ -647,75 +621,41 @@ def load_artifact(
         raise DataError(
             f"artifact file {header_path} is missing fields: {exc}"
         ) from exc
-    mapped = False
-    if int(header["format"]) >= 3:
-        try:
-            slab_meta = header["slab"]
-        except KeyError as exc:
-            raise DataError(
-                f"artifact file {header_path} is missing fields: {exc}"
-            ) from exc
-        # verify_artifact() above already re-hashed the slab; when the
-        # caller opted out of verification the map-time check below is
-        # the only thing standing between a torn slab and the engine.
-        slab = _load_slab(source, slab_meta, mmap=mmap, check=not verify)
-        try:
-            final_h = slab["final_h"]
-            final_c = slab["final_c"]
-            states = slab["states"]
-            state_offsets = slab["state_offsets"]
-            word_ids = slab["word_ids"]
-            word_offsets = slab["word_offsets"]
-        except KeyError as exc:
-            raise DataError(
-                f"artifact {source} slab is missing array {exc}"
-            ) from exc
-        structure = slab.get("structure")
-        mapped = mmap
-    else:
-        if mmap:
-            logger.info(
-                "artifact %s is format %s (pre-slab); mmap requested but "
-                "falling back to the copying loader",
-                source,
-                header["format"],
-            )
-        try:
-            with np.load(source / ENCODINGS_FILE) as archive:
-                final_h = archive["final_h"]
-                final_c = archive["final_c"]
-                states = archive["states"]
-                state_offsets = archive["state_offsets"]
-                word_ids = archive["word_ids"]
-                word_offsets = archive["word_offsets"]
-        except (OSError, KeyError, ValueError) as exc:
-            raise DataError(
-                f"artifact file {source / ENCODINGS_FILE} is corrupt or "
-                f"unreadable: {type(exc).__name__}: {exc}"
-            ) from exc
-        structure = None
-        structure_path = source / STRUCTURE_FILE
-        if structure_path.exists():
-            try:
-                with np.load(structure_path) as archive:
-                    structure = archive["structure"]
-            except (OSError, KeyError, ValueError) as exc:
-                raise DataError(
-                    f"artifact file {structure_path} is corrupt or "
-                    f"unreadable: {type(exc).__name__}: {exc}"
-                ) from exc
+    try:
+        slab_meta = header["slab"]
+    except KeyError as exc:
+        raise DataError(
+            f"artifact file {header_path} is missing fields: {exc}"
+        ) from exc
+    # verify_artifact() above already re-hashed the slab; when the
+    # caller opted out of verification the map-time check below is the
+    # only thing standing between a torn slab and the engine.
+    slab = _load_slab(source, slab_meta, mmap=mmap, check=not verify)
+    try:
+        final_h = slab["final_h"]
+        final_c = slab["final_c"]
+        states = slab["states"]
+        state_offsets = slab["state_offsets"]
+        word_ids = slab["word_ids"]
+        word_offsets = slab["word_offsets"]
+    except KeyError as exc:
+        raise DataError(f"artifact {source} slab is missing array {exc}") from exc
     retrieval_meta = dict(header.get("retrieval") or {})
     sparse_index: Optional[InvertedIndex] = None
     dense_index: Optional[DenseIndex] = None
     # When verify=True the per-index checksums were already proven by
     # verify_artifact() above; skip re-hashing the same bytes here.
     if "sparse" in retrieval_meta:
-        arrays = _load_index_arrays(source, retrieval_meta["sparse"], False)
+        arrays = _load_index_arrays(
+            _checked_index_path(source, "sparse", retrieval_meta["sparse"], False)
+        )
         sparse_index = InvertedIndex.from_arrays(
             arrays, keys=list(order), stats=stats
         )
     if "dense" in retrieval_meta:
-        arrays = _load_index_arrays(source, retrieval_meta["dense"], False)
+        arrays = _load_index_arrays(
+            _checked_index_path(source, "dense", retrieval_meta["dense"], False)
+        )
         dense_index = DenseIndex.from_arrays(arrays, vectors=final_h)
     manifest_metadata: Dict[str, Any] = {}
     from repro.core.persistence import load_manifest
@@ -735,14 +675,14 @@ def load_artifact(
         state_offsets=state_offsets,
         word_ids=word_ids,
         word_offsets=word_offsets,
-        structure=structure,
+        structure=slab.get("structure"),
         documents=documents,
         corpus_stats=stats,
         index_aliases=index_aliases,
         sparse_index=sparse_index,
         dense_index=dense_index,
         retrieval_meta=retrieval_meta,
-        mmap=mapped,
+        mmap=mmap,
     )
     if len(artifact.cids) != final_h.shape[0]:
         raise DataError(

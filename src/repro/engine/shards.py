@@ -1,48 +1,31 @@
-"""Sharded scatter-gather linking over a compiled concept artifact.
+"""The linking engine over a compiled concept artifact.
 
-The concept space is partitioned round-robin (by compiled position)
-into ``S`` shards.  Each shard owns
+:class:`ShardedConceptEngine` serves the linker's two hot paths from
+precompiled state:
 
-* a Phase-I TF-IDF index over its slice of the frozen artifact
-  documents, fitted with the **global** corpus statistics so its
-  cosines are bit-identical to a monolithic index's (see
-  :class:`repro.text.tfidf.CorpusStats`), and
-* zero-copy views into the artifact's precomputed encoding slab, so
-  Phase-II scoring never runs the concept or ancestor encoders online.
+* Phase I — one TF-IDF index over the artifact's frozen documents,
+  fitted with the artifact's corpus statistics (or, in the non-exact
+  retrieval modes, the global sublinear index from
+  :mod:`repro.retrieval`), and
+* Phase II — one lock-step batched decode
+  (:meth:`repro.core.comaid.ComAid.score_batch`) over zero-copy views
+  into the artifact's precomputed encoding slab, so scoring never runs
+  the concept or ancestor encoders online.
 
-Phase I scatters a query to every shard, gathers each shard's local
-top-k, and merges on ``(-score, global_position)`` — exactly the
-monolithic index's tie-break — so the merged ranking equals the
-unsharded one.  Phase II groups a query's candidates by owning shard
-and runs one lock-step batched decode
-(:meth:`repro.core.comaid.ComAid.score_batch`) per shard; row scores
-are independent of batch composition, so per-shard grouping matches
-whole-batch scoring to floating-point round-off.  That same
-independence makes the scatter a pure performance knob, so it is
-adaptive: a batch smaller than ``min_scatter_candidates`` per shard is
-decoded whole on the calling thread — a lock-step decode's cost is
-dominated by its per-timestep fixed overhead, and splitting a small
-candidate set into S tiny decodes plus S pool hops costs more than it
-recovers (the classic scatter-gather minimum-batch rule).
+The engine is one partition on the calling thread.  Parallelism comes
+from the multi-process serving tier (:mod:`repro.serving.procpool`),
+whose workers share the artifact's mmap'd slab.  Failures in either
+phase propagate; the linker's degraded-mode guard turns a scoring
+failure into the Phase-I keyword ranking.
 
-Shards execute on a persistent thread pool (``S`` workers): the
-encoding slabs are shared memory and NumPy releases the GIL inside the
-decode matmuls, so threads — not processes — are the right executor
-here (no per-request serialisation of the slabs).  ``S=1`` runs
-everything inline on the calling thread, degenerating to the current
-path.  A shard that fails during retrieval is skipped (partial
-gather, counted in :meth:`ShardedConceptEngine.stats`); only when
-*every* shard fails does retrieval raise :class:`ShardFailure`.
-Scoring failures always propagate — a partially-scored ranking would
-order candidates unfairly — and land in the linker's degraded-mode
-guard.
+Fault probe sites: ``engine.retrieve`` (Phase I, every mode) and
+``engine.score`` (Phase II).
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,34 +37,22 @@ from repro.obs import trace
 from repro.ontology.ontology import Ontology
 from repro.retrieval.hybrid import HybridRetriever
 from repro.retrieval.inverted import InvertedIndex
-from repro.utils.errors import ConfigurationError, DataError, ReproError
+from repro.utils.errors import ConfigurationError, DataError
 from repro.utils.faults import probe
 from repro.utils.logging import get_logger
 
 logger = get_logger("engine.shards")
 
-#: Minimum average candidates per shard before Phase II scatters.  A
-#: lock-step decode's cost is dominated by per-timestep fixed overhead,
-#: so S tiny decodes cost ~S× one whole-batch decode; below this
-#: threshold the engine runs a single whole-batch decode inline instead
-#: (identical scores — rows are batch-composition independent).
-MIN_SCATTER_CANDIDATES = 8
-
-
-class ShardFailure(ReproError):
-    """Every shard failed to answer a scatter-gather retrieval."""
-
 
 class ShardedConceptEngine:
-    """Scatter-gather linking engine over ``S`` concept shards.
+    """Phase-I retrieval and Phase-II scoring over a compiled artifact.
 
     Construct from a trained model, the ontology, and a loaded
     :class:`~repro.engine.compile.ConceptArtifact` (the artifact's
     fingerprint should already have been checked against ``model`` by
-    ``load_artifact``).  The engine then serves the linker's two hot
-    paths: :meth:`retrieve` (Phase I, scatter-gather) and
-    :meth:`score_batch` (Phase II, per-shard lock-step decode), both
-    backed entirely by precompiled state.
+    ``load_artifact``).  The engine then serves :meth:`retrieve`
+    (Phase I) and :meth:`score_batch` (Phase II), both backed entirely
+    by precompiled state.
     """
 
     def __init__(
@@ -89,63 +60,25 @@ class ShardedConceptEngine:
         model: ComAid,
         ontology: Ontology,
         artifact: ConceptArtifact,
-        shards: int = 1,
-        min_scatter_candidates: int = MIN_SCATTER_CANDIDATES,
         retrieval: Optional[RetrievalConfig] = None,
     ) -> None:
-        """Partition the artifact's concepts into ``shards`` shards.
-
-        ``min_scatter_candidates`` sets the Phase-II scatter threshold:
-        batches smaller than ``shards * min_scatter_candidates`` are
-        decoded whole on the calling thread (0 scatters every batch).
+        """Index the artifact's frozen documents.
 
         ``retrieval`` selects the Phase-I strategy
         (:class:`repro.core.config.RetrievalConfig`).  ``exact`` (the
-        default) scatter-gathers per-shard TF-IDF scans; ``sparse``,
-        ``dense`` and ``hybrid`` serve from one *global* sublinear
-        index (:mod:`repro.retrieval`) — the inverted index is already
-        sub-O(N) per query, so sharding it buys nothing; Phase II stays
-        sharded either way.  Sparse serving prefers the artifact's
-        precompiled index and falls back to freezing one at engine
-        start; dense/hybrid require an artifact compiled with
+        default) scans the TF-IDF index; ``sparse``, ``dense`` and
+        ``hybrid`` serve from the sublinear indexes
+        (:mod:`repro.retrieval`).  Sparse serving prefers the
+        artifact's precompiled index and falls back to freezing one at
+        engine start; dense/hybrid require an artifact compiled with
         ``repro compile --index`` (no fallback — k-means training at
         startup would hide minutes of latency).
         """
-        if shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {shards}")
-        if min_scatter_candidates < 0:
-            raise ConfigurationError(
-                "min_scatter_candidates must be >= 0, got "
-                f"{min_scatter_candidates}"
-            )
-        if shards > len(artifact):
-            raise ConfigurationError(
-                f"cannot split {len(artifact)} concepts into {shards} "
-                "shards (at least one shard would be empty)"
-            )
         self._model = model
-        self._ontology = ontology
         self._artifact = artifact
-        self._shards = shards
-        self._min_scatter_candidates = min_scatter_candidates
-        stats = artifact.corpus_stats
-        shard_documents: List[List[Tuple[str, List[str]]]] = [
-            [] for _ in range(shards)
-        ]
-        self._shard_of: Dict[str, int] = {}
-        for position, document in enumerate(artifact.documents):
-            shard = position % shards
-            shard_documents[shard].append(document)
-            self._shard_of[document[0]] = shard
-        self._generators = [
-            CandidateGenerator.from_documents(ontology, documents, stats)
-            for documents in shard_documents
-        ]
-        self._pool: Optional[ThreadPoolExecutor] = None
-        if shards > 1:
-            self._pool = ThreadPoolExecutor(
-                max_workers=shards, thread_name_prefix="repro-shard"
-            )
+        self._candidates = CandidateGenerator.from_documents(
+            ontology, artifact.documents, artifact.corpus_stats
+        )
         self._retrieval = (
             retrieval if retrieval is not None else RetrievalConfig()
         )
@@ -153,7 +86,6 @@ class ShardedConceptEngine:
         if self._retrieval.mode != "exact":
             self._hybrid = self._build_retriever(self._retrieval)
         self._lock = threading.Lock()
-        self._retrieve_failures = 0
         self._retrievals = 0
         self._score_batches = 0
         self._mode_retrievals: Dict[str, int] = {
@@ -165,10 +97,10 @@ class ShardedConceptEngine:
         artifact = self._artifact
         sparse = artifact.sparse_index
         if sparse is None:
-            # No precompiled sparse index (format-1 artifact, or
-            # compiled with --index none/dense): freezing one from the
-            # frozen documents is cheap relative to engine start and
-            # yields the identical index.
+            # No precompiled sparse index (compiled with --index
+            # none/dense): freezing one from the frozen documents is
+            # cheap relative to engine start and yields the identical
+            # index.
             logger.info(
                 "artifact has no precompiled sparse index; freezing one "
                 "from %d documents at engine start",
@@ -204,19 +136,13 @@ class ShardedConceptEngine:
     # -- introspection ------------------------------------------------------
 
     @property
-    def shards(self) -> int:
-        """The shard count S."""
-        return self._shards
+    def candidates(self) -> CandidateGenerator:
+        """The Phase-I generator over the artifact's frozen documents.
 
-    @property
-    def retrieval_mode(self) -> str:
-        """The active Phase-I retrieval mode."""
-        return self._retrieval.mode
-
-    @property
-    def retriever(self) -> Optional["HybridRetriever"]:
-        """The global sublinear retriever (None in exact mode)."""
-        return self._hybrid
+        The linker adopts it as its own ``candidates`` (Ω, indexed
+        cids), so the two can never drift from what the engine serves.
+        """
+        return self._candidates
 
     @property
     def artifact(self) -> ConceptArtifact:
@@ -233,42 +159,16 @@ class ShardedConceptEngine:
         """
         return str(self._artifact.fingerprint.get("params_sha256", ""))
 
-    @property
-    def indexed_cids(self) -> Tuple[str, ...]:
-        """All indexed concept ids in global (artifact) order."""
-        return self._artifact.cids
-
-    @property
-    def omega(self) -> Set[str]:
-        """The indexed concepts' description vocabulary Ω."""
-        merged: Set[str] = set()
-        for generator in self._generators:
-            merged.update(generator.omega)
-        return merged
-
     def __contains__(self, cid: str) -> bool:
-        return cid in self._shard_of
-
-    def shard_of(self, cid: str) -> int:
-        """The shard owning ``cid`` (its compiled position mod S)."""
-        try:
-            return self._shard_of[cid]
-        except KeyError:
-            raise DataError(f"concept {cid!r} is not in the compiled artifact")
+        return cid in self._artifact
 
     def stats(self) -> Dict[str, Any]:
         """Engine counters for the serving layer's snapshot/metrics."""
         with self._lock:
             return {
-                "shards": self._shards,
                 "fingerprint": self.fingerprint,
                 "concepts": len(self._artifact),
-                "shard_sizes": [
-                    len(generator.indexed_cids)
-                    for generator in self._generators
-                ],
                 "retrievals": self._retrievals,
-                "retrieve_shard_failures": self._retrieve_failures,
                 "score_batches": self._score_batches,
                 "retrieval_mode": self._retrieval.mode,
                 "retrievals_by_mode": dict(self._mode_retrievals),
@@ -293,120 +193,53 @@ class ShardedConceptEngine:
         memory = self._artifact.structure_memory_of(cid)
         return memory if memory is not None else []
 
-    # -- Phase I: scatter-gather retrieval -----------------------------------
+    # -- Phase I ------------------------------------------------------------
 
     def retrieve(
         self, tokens: Sequence[str], k: int
     ) -> List[Tuple[str, float]]:
-        """Global top-``k`` candidates by scatter-gather over all shards.
+        """Top-``k`` ``(cid, score)`` candidates for ``tokens``.
 
-        Each shard reports its local top-``k`` (global IDF scale); the
-        gather merges on ``(-score, global_position)``, the monolithic
-        index's exact sort key, and cuts to ``k`` — reproducing the
-        unsharded ranking.  A shard that raises is skipped (its
-        concepts simply cannot be retrieved this query); if every shard
-        raises, :class:`ShardFailure` is raised with the last cause.
-
-        Non-exact modes (``sparse``/``dense``/``hybrid``) answer from
-        the global sublinear retriever instead — one index, no
-        scatter — under the same Fig-11 CR span taxonomy with the mode
-        tagged on the span.
+        ``exact`` mode scans the TF-IDF index; ``sparse``/``dense``/
+        ``hybrid`` answer from the sublinear retriever.  Either way the
+        work runs under an ``engine.retrieve`` span (Fig-11 CR) tagged
+        with the mode.
         """
         mode = self._retrieval.mode
         with self._lock:
             self._retrievals += 1
             self._mode_retrievals[mode] += 1
-        if self._hybrid is not None:
-            with trace.span(
-                "engine.retrieve", phase="CR", mode=mode, k=k
-            ) as span:
-                probe("engine.retrieve")
-                if mode == "sparse":
-                    matches = self._hybrid.sparse.search(
-                        tokens,
-                        k,
-                        max_postings_per_term=(
-                            self._retrieval.max_postings_per_term
-                        ),
-                    )
-                else:
-                    matches = self._hybrid.search(tokens, k, mode=mode)
-                span.set_tag("candidates", len(matches))
-                return [(match.key, match.score) for match in matches]
-        context = trace.current_span()
+        with trace.span("engine.retrieve", phase="CR", mode=mode, k=k) as span:
+            probe("engine.retrieve")
+            if self._hybrid is None:
+                hits = self._candidates.generate(tokens, k)
+            elif mode == "sparse":
+                matches = self._hybrid.sparse.search(
+                    tokens,
+                    k,
+                    max_postings_per_term=self._retrieval.max_postings_per_term,
+                )
+                hits = [(match.key, match.score) for match in matches]
+            else:
+                matches = self._hybrid.search(tokens, k, mode=mode)
+                hits = [(match.key, match.score) for match in matches]
+            span.set_tag("candidates", len(hits))
+            return hits
 
-        def scatter(shard: int) -> List[Tuple[str, float]]:
-            with trace.attach(context), trace.span(
-                "engine.shard.retrieve", phase="CR", shard=shard, k=k
-            ) as span:
-                probe("engine.shard.retrieve")
-                hits = self._generators[shard].generate(tokens, k)
-                span.set_tag("candidates", len(hits))
-                return hits
-
-        gathered: List[List[Tuple[str, float]]] = []
-        failures = 0
-        last_error: Optional[BaseException] = None
-        if self._pool is None:
-            for shard in range(self._shards):
-                try:
-                    gathered.append(scatter(shard))
-                except Exception as error:  # noqa: BLE001 - partial gather
-                    failures += 1
-                    last_error = error
-                    logger.warning(
-                        "shard %d failed during retrieval: %s", shard, error
-                    )
-        else:
-            futures: List[Future] = [
-                self._pool.submit(scatter, shard)
-                for shard in range(self._shards)
-            ]
-            for shard, future in enumerate(futures):
-                try:
-                    gathered.append(future.result())
-                except Exception as error:  # noqa: BLE001 - partial gather
-                    failures += 1
-                    last_error = error
-                    logger.warning(
-                        "shard %d failed during retrieval: %s", shard, error
-                    )
-        if failures:
-            with self._lock:
-                self._retrieve_failures += failures
-        if not gathered:
-            raise ShardFailure(
-                f"all {self._shards} shards failed during retrieval"
-            ) from last_error
-        position = self._artifact.position_of
-        merged = sorted(
-            (hit for hits in gathered for hit in hits),
-            key=lambda hit: (-hit[1], position(hit[0])),
-        )
-        return merged[:k]
-
-    # -- Phase II: per-shard batched scoring ---------------------------------
+    # -- Phase II -----------------------------------------------------------
 
     def score_batch(
         self,
         query_ids: Sequence[Sequence[int]],
         cids: Sequence[str],
     ) -> np.ndarray:
-        """``log p(q_j | c_j)`` for each candidate, grouped by shard.
+        """``log p(q_j | c_j)`` for each candidate, in one decode.
 
         Drop-in for :meth:`ComAid.score_batch` with concept ids instead
-        of encoding pairs: candidates are grouped by owning shard and
-        each group runs one lock-step batched decode on the worker pool
-        using the shard's slice of the precomputed slab.  Row scores do
-        not depend on batch composition, so the per-shard grouping
-        returns the same vector as one whole-batch call — which also
-        makes the scatter adaptive: batches smaller than
-        ``shards * min_scatter_candidates`` (or any batch when the pool
-        is closed) run as a single whole-batch decode on the calling
-        thread, since S tiny decodes plus pool hops cost more than one
-        combined decode.  Any shard failure propagates (a partially
-        scored ranking would be unfairly ordered) and is handled by the
-        linker's degraded-mode guard.
+        of encoding pairs: each candidate's encoding and structure
+        memory come from the precompiled slab.  Any failure propagates
+        (a partially scored ranking would be unfairly ordered) and is
+        handled by the linker's degraded-mode guard.
         """
         if len(query_ids) != len(cids):
             raise DataError(
@@ -415,72 +248,15 @@ class ShardedConceptEngine:
             )
         with self._lock:
             self._score_batches += 1
-        scores = np.zeros(len(cids), dtype=np.float64)
         if not cids:
-            return scores
-        groups: Dict[int, List[int]] = {}
-        for index, cid in enumerate(cids):
-            groups.setdefault(self.shard_of(cid), []).append(index)
-        context = trace.current_span()
-
-        def score_shard(shard: int, indices: List[int]) -> np.ndarray:
-            with trace.attach(context), trace.span(
-                "engine.shard.phase2",
-                phase="ED",
-                shard=shard,
-                batch=len(indices),
-            ):
-                probe("engine.shard.score")
-                batch = [
-                    (
-                        self._artifact.encoding_of(cids[index]),
-                        self.structure_memory_of(cids[index]),
-                    )
-                    for index in indices
-                ]
-                ids = [list(query_ids[index]) for index in indices]
-                return self._model.score_batch(ids, batch)
-
-        ordered = sorted(groups.items())
-        scatter = (
-            self._pool is not None
-            and len(ordered) > 1
-            and len(cids) >= self._shards * self._min_scatter_candidates
-        )
-        if scatter:
-            futures = [
-                (indices, self._pool.submit(score_shard, shard, indices))
-                for shard, indices in ordered
+            return np.zeros(0, dtype=np.float64)
+        with trace.span("engine.phase2", phase="ED", batch=len(cids)):
+            probe("engine.score")
+            batch = [
+                (self.encoding_of(cid), self.structure_memory_of(cid))
+                for cid in cids
             ]
-            # future.result() re-raises the worker's original exception
-            # (InjectedFault included), keeping failure types identical
-            # to the inline path.
-            results = [
-                (indices, future.result()) for indices, future in futures
-            ]
-        elif len(ordered) == 1:
-            shard, indices = ordered[0]
-            results = [(indices, score_shard(shard, indices))]
-        else:
-            # Below the scatter threshold (or pool closed): one
-            # whole-batch decode inline; shard=-1 tags the merged span.
-            whole = list(range(len(cids)))
-            results = [(whole, score_shard(-1, whole))]
-        for indices, shard_scores in results:
-            for index, score in zip(indices, shard_scores):
-                scores[index] = float(score)
-        return scores
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ShardedConceptEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+            scores = self._model.score_batch(
+                [list(ids) for ids in query_ids], batch
+            )
+        return np.asarray(scores, dtype=np.float64)

@@ -1,8 +1,7 @@
 """Multi-process serving load benchmark — forked workers vs one.
 
-``BENCH_shard.json`` showed the threaded tier topping out at the GIL:
-shard threads cannot buy end-to-end qps because Phase-II decode is
-pure Python + NumPy.  The multi-process tier
+The threaded tier tops out at the GIL: decode threads cannot buy
+end-to-end qps because Phase-II decode is pure Python + NumPy.  The multi-process tier
 (:class:`~repro.serving.service.ProcPoolLinkingService`) forks N
 workers that mmap one compiled slab and decode in parallel outside
 the parent's GIL.  This runner measures what that buys under a
@@ -170,7 +169,6 @@ def run_mp_load(
             pipeline.linker.config,
             artifact_dir=str(directory),
             mmap_artifact=True,
-            fuse_phase2=True,
         ),
         kb=bundle.kb,
         word_vectors=pipeline.word_vectors,

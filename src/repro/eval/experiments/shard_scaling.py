@@ -1,21 +1,20 @@
-"""Shard-engine benchmark — precompiled scatter-gather vs runtime encoding.
+"""Engine benchmark — precompiled artifact vs runtime encoding.
 
 Figure 11 attributes most online cost to ED — encoding concepts on the
 request path.  The engine (:mod:`repro.engine`) removes that term by
 compiling every concept's encodings offline (``repro compile``) and
-serving Phase I/II from S shards over the frozen slabs.  This runner
-measures the end-to-end effect on one query stream through three
-linkers sharing one trained model:
+serving Phase I/II from the frozen slab.  This runner measures the
+end-to-end effect on one query stream through two linkers sharing one
+trained model:
 
 * ``runtime_cold`` — the pre-engine path, encoding caches invalidated
   per query (every query pays full ED, the worst honest baseline);
-* ``engine_s1`` — precompiled artifact, one shard, in-thread;
-* ``engine_s4`` — precompiled artifact, four shards on the worker pool.
+* ``engine`` — the precompiled artifact.
 
 The report records per-phase p50s, link throughput, the equivalence
-audit against the runtime path, and ``os.cpu_count()`` — on a single
-core the win is eliminating request-path encoding, not thread
-parallelism, and the config labels say exactly what was compared.
+audit against the runtime path, and ``os.cpu_count()``; the win is
+eliminating request-path encoding, and the config labels say exactly
+what was compared.
 """
 
 from __future__ import annotations
@@ -51,16 +50,14 @@ def run_shard_scaling(
     seed: int = 2018,
     k: int = 10,
     queries_per_point: int = 40,
-    shards: int = 4,
     dataset: str = "hospital-x-like",
     artifact_dir: str | None = None,
     verbose: bool = True,
 ) -> Dict[str, object]:
-    """Runtime-encoding vs precompiled sharded engine on one pipeline.
+    """Runtime-encoding vs precompiled engine on one pipeline.
 
     Returns a JSON-ready report: per-mode phase p50s and throughput,
-    ``speedup_throughput`` (engine at ``shards`` workers over the
-    runtime cold-cache path), ``cr_ed_p50_improvement`` (positive when
+    ``speedup_throughput`` (engine over the runtime cold-cache path), ``cr_ed_p50_improvement`` (positive when
     the precompiled path's CR+ED median is lower), and the equivalence
     audit (``rankings_identical``, ``max_abs_log_prob_delta``).
     """
@@ -82,18 +79,13 @@ def run_shard_scaling(
         kb=bundle.kb,
         index_aliases=runtime.config.index_aliases,
     )
-
-    def engine_linker(shard_count: int) -> NeuralConceptLinker:
-        return NeuralConceptLinker(
-            pipeline.model,
-            bundle.ontology,
-            replace(
-                runtime.config, artifact_dir=str(directory),
-                shards=shard_count,
-            ),
-            kb=bundle.kb,
-            word_vectors=pipeline.word_vectors,
-        )
+    engine_linker = NeuralConceptLinker(
+        pipeline.model,
+        bundle.ontology,
+        replace(runtime.config, artifact_dir=str(directory)),
+        kb=bundle.kb,
+        word_vectors=pipeline.word_vectors,
+    )
 
     queries = [query.text for query in bundle.queries[:queries_per_point]]
     modes = {
@@ -102,14 +94,9 @@ def run_shard_scaling(
             "label": "workers=1, runtime encoding, cold cache",
             "cold": True,
         },
-        "engine_s1": {
-            "linker": engine_linker(1),
+        "engine": {
+            "linker": engine_linker,
             "label": "workers=1, precompiled artifact",
-            "cold": False,
-        },
-        f"engine_s{shards}": {
-            "linker": engine_linker(shards),
-            "label": f"workers={shards}, precompiled artifact",
             "cold": False,
         },
     }
@@ -138,38 +125,29 @@ def run_shard_scaling(
 
     max_delta = 0.0
     rankings_identical = True
-    for mode in modes:
-        if mode == "runtime_cold":
-            continue
-        for left, right in zip(results["runtime_cold"], results[mode]):
-            if [c.cid for c in left.ranked] != [c.cid for c in right.ranked]:
-                rankings_identical = False
-            for a, b in zip(left.ranked, right.ranked):
-                if a.cid == b.cid:
-                    max_delta = max(max_delta, abs(a.log_prob - b.log_prob))
+    for left, right in zip(results["runtime_cold"], results["engine"]):
+        if [c.cid for c in left.ranked] != [c.cid for c in right.ranked]:
+            rankings_identical = False
+        for a, b in zip(left.ranked, right.ranked):
+            if a.cid == b.cid:
+                max_delta = max(max_delta, abs(a.log_prob - b.log_prob))
 
-    sharded = timings[f"engine_s{shards}"]
+    engine = timings["engine"]
     baseline = timings["runtime_cold"]
     report: Dict[str, object] = {
         "dataset": dataset,
         "scale": scale.name,
         "seed": seed,
         "k": k,
-        "shards": shards,
         "queries": len(queries),
         "cpu_count": os.cpu_count(),
         "modes": timings,
-        "speedup_throughput": sharded["throughput_qps"]
+        "speedup_throughput": engine["throughput_qps"]
         / max(baseline["throughput_qps"], 1e-12),
-        "cr_ed_p50_improvement": baseline["cr_ed_p50"]
-        - sharded["cr_ed_p50"],
+        "cr_ed_p50_improvement": baseline["cr_ed_p50"] - engine["cr_ed_p50"],
         "rankings_identical": rankings_identical,
         "max_abs_log_prob_delta": max_delta,
     }
-    for mode in modes:
-        engine = modes[mode]["linker"].engine
-        if engine is not None:
-            engine.close()
     if verbose:
         rows = [
             [mode]
@@ -182,7 +160,7 @@ def run_shard_scaling(
                 ["mode"] + [f"{p} p50 (ms)" for p in PHASES] + ["qps"],
                 rows,
                 title=(
-                    f"Shard engine, {dataset} k={k} S={shards} "
+                    f"Engine, {dataset} k={k} "
                     f"(throughput x{report['speedup_throughput']:.2f})"
                 ),
             )

@@ -1,10 +1,9 @@
 """Forked worker processes serving linker batches over pipes.
 
-The threaded tier tops out at the GIL: ``BENCH_shard.json`` shows 4
-shard threads *losing* to 1 on end-to-end qps, because Phase-II decode
-is pure Python + NumPy on shared bytecode.  This module converts shard
-parallelism into wall-clock throughput the only way CPython allows —
-separate processes:
+Threads top out at the GIL: Phase-II decode is pure Python + NumPy on
+shared bytecode, so extra decode threads buy no end-to-end qps.  This
+module turns parallelism into wall-clock throughput the only way
+CPython allows — separate processes:
 
 * workers are **forked** (``multiprocessing.get_context("fork")``), so
   the model, ontology, and configuration the ``build_linker`` closure

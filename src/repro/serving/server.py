@@ -44,7 +44,7 @@ POST     ``/v1/admin/swap``      Drive the blue/green artifact swapper
 * ``GET /readyz`` (alias ``/v1/readyz``) — readiness; 503 until
   warm-up finishes, then 200.
 * ``GET /v1/metrics`` — the service snapshot (counters, latency
-  histograms with p50/p95/p99, cache, batcher, and sharded-engine
+  histograms with p50/p95/p99, cache, batcher, and engine
   statistics; plus the per-tenant registry view on multi-tenant
   deployments); ``?format=prometheus`` (or an ``Accept: text/plain``
   header) returns Prometheus text exposition instead, with

@@ -390,8 +390,8 @@ class LinkingService:
         report["pipeline"] = dict(
             getattr(self.linker, "pipeline_metadata", None) or {}
         )
-        # Sharded-engine counters (shard sizes, scatter-gather failure
-        # counts) when the linker serves from a compiled artifact.
+        # Engine counters (retrievals by mode, score batches) when the
+        # linker serves from a compiled artifact.
         engine = getattr(self.linker, "engine", None)
         if engine is not None:
             report["engine"] = engine.stats()
@@ -418,8 +418,8 @@ class ProcPoolLinkingService:
     sheds, fuses, and dispatches (:mod:`repro.serving.frontend`).
 
     ``build_linker`` is invoked *inside each forked child* — it should
-    construct the worker's linker with ``mmap_artifact=True`` and
-    ``fuse_phase2=True`` (the CLI and test fixtures do).  The parent
+    construct the worker's linker with ``mmap_artifact=True`` (the CLI
+    and test fixtures do).  The parent
     never builds a linker; it only needs ``ontology`` to render
     concept descriptions in responses.
 

@@ -35,14 +35,12 @@ class TfIdfMatch:
 class CorpusStats:
     """Document frequencies of a whole corpus, detached from any index.
 
-    A sharded deployment partitions the concept documents across
-    several :class:`TfIdfIndex` instances but must keep every shard's
-    scores on the *global* scale — IDF computed over a shard's slice
-    would weight terms differently per shard and break scatter-gather
-    merging.  ``CorpusStats`` carries the global ``df`` / ``doc_count``
-    so each shard can be fitted with :meth:`TfIdfIndex.fit` s
-    ``stats=`` override and produce cosines bit-identical to one
-    monolithic index over the full corpus.
+    A compiled concept artifact freezes the statistics its Phase-I
+    documents were indexed with.  ``CorpusStats`` carries that global
+    ``df`` / ``doc_count`` so an index over any subset of the corpus
+    can be fitted with :meth:`TfIdfIndex.fit` s ``stats=`` override
+    and produce cosines bit-identical to one index over the full
+    corpus.
     """
 
     doc_count: int
@@ -91,9 +89,9 @@ class TfIdfIndex:
         ``stats`` substitutes external corpus statistics for the ones
         derived from ``documents``: IDF weights (document *and* query
         side) are then computed from the supplied global ``df`` /
-        ``doc_count`` instead of the indexed slice.  This is how a
-        shard over a subset of the concept documents produces cosines
-        identical to a monolithic index over all of them.
+        ``doc_count`` instead of the indexed slice, so an index over a
+        subset of the concept documents produces cosines identical to
+        one index over all of them.
         """
         staged: List[Tuple[Hashable, Counter]] = []
         self._df = Counter()
@@ -146,8 +144,8 @@ class TfIdfIndex:
         # Terms are admitted by *corpus* document frequency, not by
         # membership in this index's postings: under external stats a
         # term can exist in the corpus but have no postings in this
-        # shard, and it must still contribute to the query norm or the
-        # shard's cosines would leave the global scale.  Without
+        # index, and it must still contribute to the query norm or the
+        # cosines would leave the global scale.  Without
         # external stats df > 0 iff the term has postings, so the
         # behaviour is unchanged.
         query_freq = Counter(tokens)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import (
-    AUTO_SHARDS_MAX,
     PAPER_DEFAULTS,
     ComAidConfig,
     LinkerConfig,
@@ -120,48 +119,3 @@ class TestRetrievalConfig:
         with pytest.raises(ConfigurationError, match="artifact_dir"):
             LinkerConfig(retrieval={"mode": "sparse"})
         LinkerConfig(artifact_dir="a/", retrieval={"mode": "sparse"})  # fine
-
-
-class TestShards:
-    def test_explicit_int_passes_through(self):
-        config = LinkerConfig(artifact_dir="a/", shards=3)
-        assert config.resolve_shards() == 3
-
-    def test_invalid_values(self):
-        with pytest.raises(ConfigurationError):
-            LinkerConfig(artifact_dir="a/", shards=0)
-        with pytest.raises(ConfigurationError):
-            LinkerConfig(artifact_dir="a/", shards="many")
-        with pytest.raises(ConfigurationError, match="artifact_dir"):
-            LinkerConfig(shards=2)
-
-    def test_auto_without_artifact_is_one(self):
-        assert LinkerConfig(shards="auto").resolve_shards() == 1
-
-    def test_auto_on_small_box_is_one(self, monkeypatch):
-        """The BENCH_shard regression: a GIL-sharing pool on <= 2 CPUs
-        is pure overhead, so auto must fall back to the inline path."""
-        import repro.core.config as config_module
-
-        config = LinkerConfig(artifact_dir="a/", shards="auto")
-        for cpus in (1, 2):
-            monkeypatch.setattr(
-                config_module.os, "cpu_count", lambda n=cpus: n
-            )
-            assert config.resolve_shards() == 1
-
-    def test_auto_on_big_box_is_capped(self, monkeypatch):
-        import repro.core.config as config_module
-
-        config = LinkerConfig(artifact_dir="a/", shards="auto")
-        monkeypatch.setattr(config_module.os, "cpu_count", lambda: 4)
-        assert config.resolve_shards() == 3
-        monkeypatch.setattr(config_module.os, "cpu_count", lambda: 64)
-        assert config.resolve_shards() == AUTO_SHARDS_MAX
-
-    def test_auto_when_cpu_count_unknown(self, monkeypatch):
-        import repro.core.config as config_module
-
-        config = LinkerConfig(artifact_dir="a/", shards="auto")
-        monkeypatch.setattr(config_module.os, "cpu_count", lambda: None)
-        assert config.resolve_shards() == 1

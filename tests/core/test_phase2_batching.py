@@ -1,14 +1,15 @@
 """Equivalence of batched Phase-II scoring with the sequential reference.
 
-The batched decoder (``ComAid.score_batch`` + ``LinkerConfig.
-batch_phase2``) is a numerical refactor of the paper's Eq. 5–9 hot
-path, so every claim ships with a proof against the sequential oracle:
+The batched decoder (``ComAid.score_batch``, the linker's only serving
+path) is a numerical refactor of the paper's Eq. 5–9 hot path, so every
+claim ships with a proof against the sequential oracle
+(``LinkerConfig(batch_phase2=False)``):
 
 * ``score_batch`` log-probs match per-candidate ``score_with_encodings``
   to ≤1e-9 for randomized models (all four ablations × both cells,
   plus a hypothesis sweep over shapes);
-* ``link()`` rankings, scores, keyword scores, and tie order are
-  identical with ``batch_phase2`` on and off;
+* ``link()``/``link_batch()`` rankings, scores, keyword scores, and
+  tie order are identical to the oracle's, with one decode per call;
 * heterogeneous candidate sets — different description lengths,
   different ontology depths including Def. 4.1's first-level-duplication
   padding — are masked correctly;
@@ -246,9 +247,7 @@ class TestLinkerEquivalence:
             assert left == right
 
 
-def _heterogeneous_linker(
-    batch_phase2: bool, fuse_phase2: bool = False
-) -> NeuralConceptLinker:
+def _heterogeneous_linker(batch_phase2: bool) -> NeuralConceptLinker:
     """A linker whose candidate sets mix ontology depths and description
     lengths: a first-level leaf (Def. 4.1 pads its path by duplicating
     itself), second-level leaves, and a third-level leaf with real
@@ -278,7 +277,7 @@ def _heterogeneous_linker(
     return NeuralConceptLinker(
         model,
         ontology,
-        LinkerConfig(k=10, batch_phase2=batch_phase2, fuse_phase2=fuse_phase2),
+        LinkerConfig(k=10, batch_phase2=batch_phase2),
         kb=kb,
     )
 
@@ -310,9 +309,9 @@ class TestHeterogeneousCandidates:
         ancestors = linker._ancestor_encodings("P00")
         assert len(ancestors) == 2
         np.testing.assert_array_equal(ancestors[0].final_h, ancestors[1].final_h)
-        score_batched = linker._phase_two_batched(
-            linker._phase_one("severe pain syndrome", 10), None, 0.0
-        )[0]
+        score_batched = linker._phase_two(
+            [linker._phase_one("severe pain syndrome", 10)], [None]
+        )[0].ranked
         by_cid = {c.cid: c.log_prob for c in score_batched}
         assert math.isfinite(by_cid["P00"])
         assert abs(
@@ -322,19 +321,19 @@ class TestHeterogeneousCandidates:
 
 
 class TestFusedPhase2Equivalence:
-    """``LinkerConfig.fuse_phase2``: cross-request Phase-II fusion.
+    """Cross-request Phase-II fusion.
 
-    ``link_batch`` with fusion on runs ONE ``score_batch`` decode over
-    every surviving candidate of every query in the batch — the
-    serving tier's cross-request GEMM.  ``score_batch`` rows are
-    batch-composition independent (``test_order_invariance``), so the
-    fused results must match the sequential oracle query for query.
+    ``link_batch`` runs ONE ``score_batch`` decode over every surviving
+    candidate of every query in the batch — the serving tier's
+    cross-request GEMM.  ``score_batch`` rows are batch-composition
+    independent (``test_order_invariance``), so the fused results must
+    match the sequential oracle query for query.
     """
 
     QUERIES = TestLinkerEquivalence.QUERIES
 
     def test_link_batch_fused_matches_sequential(self, make_linker):
-        fused = make_linker(batch_phase2=True, fuse_phase2=True)
+        fused = make_linker(batch_phase2=True)
         sequential = make_linker(batch_phase2=False)
         for fused_result, sequential_result in zip(
             fused.link_batch(self.QUERIES),
@@ -345,9 +344,9 @@ class TestFusedPhase2Equivalence:
     def test_single_query_batch_short_circuits_to_reference(
         self, make_linker
     ):
-        # A one-query batch has nothing to fuse; it must take the
-        # reference path and still agree with it.
-        fused = make_linker(fuse_phase2=True)
+        # A one-query batch is a one-item fusion — the same computation
+        # link() runs — and must agree with it.
+        fused = make_linker()
         reference = make_linker()
         _assert_links_equivalent(
             fused.link_batch(["ckd stage 5"])[0],
@@ -355,7 +354,7 @@ class TestFusedPhase2Equivalence:
         )
 
     def test_fused_heterogeneous_candidates(self):
-        fused = _heterogeneous_linker(batch_phase2=True, fuse_phase2=True)
+        fused = _heterogeneous_linker(batch_phase2=True)
         sequential = _heterogeneous_linker(batch_phase2=False)
         queries = TestHeterogeneousCandidates.QUERIES
         for fused_result, sequential_result in zip(
@@ -365,7 +364,7 @@ class TestFusedPhase2Equivalence:
 
     def test_fused_decode_is_one_batch_site_hit(self, make_linker):
         # The whole point: N queries, ONE fused decode.
-        fused = make_linker(fuse_phase2=True)
+        fused = make_linker()
         with fault_injection(
             {"linker.phase2.batch": FaultSpec(action="delay", times=0)}
         ) as plan:
@@ -373,7 +372,7 @@ class TestFusedPhase2Equivalence:
         assert plan.hits("linker.phase2.batch") == 1
 
     def test_fused_degrades_per_query_not_per_batch(self, make_linker):
-        fused = make_linker(fuse_phase2=True)
+        fused = make_linker()
         reference = make_linker()
         # Fail the first candidate probe: only the query that owns it
         # degrades; the other rides the fused decode untouched.
@@ -387,7 +386,7 @@ class TestFusedPhase2Equivalence:
         )
 
     def test_fused_tie_order_preserved(self, make_linker):
-        fused = make_linker(fuse_phase2=True)
+        fused = make_linker()
         sequential = make_linker(batch_phase2=False)
         left = [
             [(c.cid, c.keyword_score) for c in result.ranked]

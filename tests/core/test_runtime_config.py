@@ -23,12 +23,12 @@ class TestRoundTrip:
         runtime = RuntimeConfig(
             model=ComAidConfig(dim=12, beta=3),
             training=TrainingConfig(epochs=2, optimizer="sgd"),
-            linker=LinkerConfig(k=7, artifact_dir="a/", shards=2),
+            linker=LinkerConfig(k=7, artifact_dir="a/"),
             serving=ServingConfig(port=0, max_batch_size=4),
         )
         payload = runtime.to_dict()
         assert payload["model"]["dim"] == 12
-        assert payload["linker"]["shards"] == 2
+        assert payload["linker"]["artifact_dir"] == "a/"
         assert RuntimeConfig.from_dict(payload) == runtime
 
     def test_to_dict_is_json_serialisable(self):
@@ -49,13 +49,11 @@ class TestRoundTrip:
         runtime = RuntimeConfig(
             linker=LinkerConfig(
                 artifact_dir="a/",
-                shards="auto",
                 retrieval={"mode": "hybrid", "fusion_method": "rrf"},
             )
         )
         payload = runtime.to_dict()
         assert payload["linker"]["retrieval"]["mode"] == "hybrid"
-        assert payload["linker"]["shards"] == "auto"
         json.dumps(payload)
         restored = RuntimeConfig.from_dict(payload)
         assert restored == runtime
@@ -83,8 +81,8 @@ class TestRejection:
         with pytest.raises(ConfigurationError, match="k must be >= 1"):
             RuntimeConfig.from_dict({"linker": {"k": 0}})
 
-    def test_sharding_without_artifact_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="artifact_dir"):
+    def test_removed_shards_key_is_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"\['shards'\]"):
             RuntimeConfig.from_dict({"linker": {"shards": 2}})
 
 

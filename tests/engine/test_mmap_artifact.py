@@ -3,8 +3,8 @@
 The slab replaced the compressed ``.npz`` pair so artifacts can be
 *mapped* instead of copied: ``load_artifact(..., mmap=True)`` returns
 read-only views over one ``np.memmap``, byte-identical to the copy
-path.  Formats 1–2 keep loading through the legacy npz path (mmap
-falls back to a copy), and any torn or flipped slab byte is a
+path.  Pre-slab formats 1–2 are refused with a :class:`DataError`
+asking for ``repro compile``, and any torn or flipped slab byte is a
 :class:`DataError` naming ``slab.bin`` before a single query runs.
 """
 
@@ -71,30 +71,24 @@ class TestMmapLoad:
 
 class TestLegacyFormats:
     @pytest.mark.parametrize("fmt", [1, 2])
-    def test_old_layout_loads_with_mmap_falling_back_to_copy(
-        self, fmt, engine_stack, tmp_path
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_old_layout_is_refused_naming_repro_compile(
+        self, fmt, mmap, engine_stack, tmp_path
     ):
         _, _, model, artifact_dir = engine_stack
         legacy = write_legacy_artifact(
             artifact_dir, tmp_path / f"format{fmt}", fmt
         )
-        new = load_artifact(artifact_dir, model=model)
-        # mmap requested but unavailable pre-slab: the loader serves
-        # the npz copy path instead of failing the deployment.
-        old = load_artifact(legacy, model=model, mmap=True)
-        assert old.format == fmt
-        assert not old.mmap
-        for name in SLAB_ARRAYS:
-            np.testing.assert_array_equal(
-                getattr(old, name), getattr(new, name)
-            )
+        with pytest.raises(DataError, match="repro compile"):
+            load_artifact(legacy, model=model, mmap=mmap)
+        with pytest.raises(DataError, match="repro compile"):
+            load_artifact(legacy, verify=False, mmap=mmap)
 
-    def test_legacy_artifact_still_verifies(self, engine_stack, tmp_path):
+    def test_legacy_artifact_fails_verification(self, engine_stack, tmp_path):
         _, _, _, artifact_dir = engine_stack
         legacy = write_legacy_artifact(artifact_dir, tmp_path / "fmt2", 2)
-        header = verify_artifact(legacy)
-        assert header["format"] == 2
-        assert "slab" not in header
+        with pytest.raises(DataError, match="repro compile"):
+            verify_artifact(legacy)
 
 
 class TestSlabCorruption:

@@ -1,4 +1,4 @@
-"""Engine retrieval modes: exact bit-identity, compiled indexes, back-compat."""
+"""Engine retrieval modes: exact bit-identity, compiled indexes, old formats."""
 
 import json
 import shutil
@@ -135,6 +135,8 @@ class TestEngineModes:
 
 
 class TestFormat1BackCompat:
+    """Only format 3 loads; older and unknown formats are refused."""
+
     @pytest.fixture()
     def format1_dir(self, engine_stack, tmp_path):
         """A pre-retrieval (format-1) artifact, as an old build wrote it."""
@@ -143,28 +145,6 @@ class TestFormat1BackCompat:
         assert not (clone / SPARSE_INDEX_FILE).exists()
         assert not (clone / DENSE_INDEX_FILE).exists()
         return clone
-
-    def test_format_1_artifact_loads_verified(self, engine_stack, format1_dir):
-        _, _, model, _ = engine_stack
-        artifact = load_artifact(format1_dir, model=model, verify=True)
-        assert artifact.format == 1
-        assert artifact.sparse_index is None
-        assert artifact.dense_index is None
-
-    def test_format_1_serves_exact_and_sparse(self, engine_stack, format1_dir):
-        ontology, _, model, artifact_dir = engine_stack
-        old = load_artifact(format1_dir, model=model)
-        new = load_artifact(artifact_dir, model=model)
-        old_engine = ShardedConceptEngine(model, ontology, old)
-        new_engine = ShardedConceptEngine(model, ontology, new)
-        sparse_engine = ShardedConceptEngine(
-            model, ontology, old, retrieval=RetrievalConfig(mode="sparse")
-        )
-        for query in ENGINE_QUERIES:
-            tokens = tokenize(query)
-            expected = new_engine.retrieve(tokens, 5)
-            assert old_engine.retrieve(tokens, 5) == expected
-            assert sparse_engine.retrieve(tokens, 5) == expected
 
     def test_unknown_format_rejected(self, engine_stack, format1_dir):
         _, _, model, _ = engine_stack

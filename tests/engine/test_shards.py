@@ -1,4 +1,4 @@
-"""Scatter-gather sharding: provable equivalence and failure behaviour."""
+"""The concept engine: provable equivalence and failure behaviour."""
 
 import math
 
@@ -8,13 +8,13 @@ import pytest
 from repro.core.candidates import CandidateGenerator
 from repro.core.config import LinkerConfig
 from repro.core.linker import NeuralConceptLinker
-from repro.engine.shards import ShardFailure, ShardedConceptEngine
-from repro.utils.errors import ConfigurationError, DataError
+from repro.engine.shards import ShardedConceptEngine
 from repro.utils.faults import FaultSpec, InjectedFault, fault_injection
 
 from tests.engine.conftest import ENGINE_QUERIES
 
-SHARD_COUNTS = (1, 2, 4)
+#: Top-k cut-offs (and candidate batch sizes) the equivalence checks run at.
+SIZES = (1, 2, 4)
 
 
 @pytest.fixture(scope="package")
@@ -24,221 +24,106 @@ def baseline_linker(engine_stack):
     return NeuralConceptLinker(model, ontology, LinkerConfig(k=5), kb=kb)
 
 
-def make_engine_linker(engine_stack, shards):
+def make_engine_linker(engine_stack):
     ontology, kb, model, artifact_dir = engine_stack
     return NeuralConceptLinker(
         model,
         ontology,
-        LinkerConfig(k=5, artifact_dir=str(artifact_dir), shards=shards),
+        LinkerConfig(k=5, artifact_dir=str(artifact_dir)),
         kb=kb,
     )
 
 
 class TestShardEquivalence:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("k", SIZES)
     def test_retrieve_matches_monolithic_generator(self, engine_stack,
-                                                   artifact, shards):
+                                                   artifact, k):
         ontology, _, model, _ = engine_stack
         monolithic = CandidateGenerator.from_documents(
             ontology, artifact.documents
         )
-        with ShardedConceptEngine(
-            model, ontology, artifact, shards=shards
-        ) as engine:
-            for query in ENGINE_QUERIES:
-                tokens = query.split()
-                expected = monolithic.generate(tokens, 5)
-                got = engine.retrieve(tokens, 5)
-                assert [cid for cid, _ in got] == [cid for cid, _ in expected]
-                for (_, score), (_, reference) in zip(got, expected):
-                    assert score == pytest.approx(reference, abs=1e-9)
+        engine = ShardedConceptEngine(model, ontology, artifact)
+        for query in ENGINE_QUERIES:
+            tokens = query.split()
+            expected = monolithic.generate(tokens, k)
+            got = engine.retrieve(tokens, k)
+            assert [cid for cid, _ in got] == [cid for cid, _ in expected]
+            for (_, score), (_, reference) in zip(got, expected):
+                assert score == pytest.approx(reference, abs=1e-9)
 
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("candidates", SIZES)
     def test_score_batch_matches_whole_batch_scoring(self, engine_stack,
-                                                     artifact, shards):
+                                                     artifact, candidates):
         ontology, _, model, _ = engine_stack
-        cids = list(artifact.cids)[:6]
+        cids = list(artifact.cids)[:candidates]
         query_ids = model.words_to_ids("ckd stage 5".split())
         batch = [
             (artifact.encoding_of(cid), artifact.structure_memory_of(cid))
             for cid in cids
         ]
         expected = model.score_batch([query_ids] * len(cids), batch)
-        with ShardedConceptEngine(
-            model, ontology, artifact, shards=shards
-        ) as engine:
-            got = engine.score_batch([query_ids] * len(cids), cids)
+        engine = ShardedConceptEngine(model, ontology, artifact)
+        got = engine.score_batch([query_ids] * len(cids), cids)
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
-    @pytest.mark.parametrize("shards", (2, 4))
-    def test_forced_scatter_matches_whole_batch_scoring(self, engine_stack,
-                                                        artifact, shards):
-        """min_scatter_candidates=0 forces the pool path even for tiny
-        batches; the scattered per-shard decodes must still reproduce
-        the whole-batch scores."""
-        ontology, _, model, _ = engine_stack
-        cids = list(artifact.cids)[:6]
-        query_ids = model.words_to_ids("ckd stage 5".split())
-        batch = [
-            (artifact.encoding_of(cid), artifact.structure_memory_of(cid))
-            for cid in cids
-        ]
-        expected = model.score_batch([query_ids] * len(cids), batch)
-        with ShardedConceptEngine(
-            model, ontology, artifact, shards=shards,
-            min_scatter_candidates=0,
-        ) as engine:
-            got = engine.score_batch([query_ids] * len(cids), cids)
-        np.testing.assert_allclose(got, expected, atol=1e-9)
-
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("k", SIZES)
     def test_linker_rankings_identical_to_runtime_encoding(
-        self, engine_stack, baseline_linker, shards
+        self, engine_stack, baseline_linker, k
     ):
-        linker = make_engine_linker(engine_stack, shards)
-        try:
-            for query in ENGINE_QUERIES:
-                expected = baseline_linker.link(query)
-                got = linker.link(query)
-                assert [c.cid for c in got.ranked] == [
-                    c.cid for c in expected.ranked
-                ]
-                for mine, reference in zip(got.ranked, expected.ranked):
-                    assert mine.log_prob == pytest.approx(
-                        reference.log_prob, abs=1e-9
-                    )
-                    assert mine.keyword_score == pytest.approx(
-                        reference.keyword_score, abs=1e-12
-                    )
-        finally:
-            engine = linker.engine
-            if engine is not None:
-                engine.close()
+        linker = make_engine_linker(engine_stack)
+        for query in ENGINE_QUERIES:
+            expected = baseline_linker.link(query, k=k)
+            got = linker.link(query, k=k)
+            assert [c.cid for c in got.ranked] == [
+                c.cid for c in expected.ranked
+            ]
+            for mine, reference in zip(got.ranked, expected.ranked):
+                assert mine.log_prob == pytest.approx(
+                    reference.log_prob, abs=1e-9
+                )
+                assert mine.keyword_score == pytest.approx(
+                    reference.keyword_score, abs=1e-12
+                )
 
-    def test_closed_pool_still_answers_inline(self, engine_stack, artifact):
-        ontology, _, model, _ = engine_stack
-        query_ids = model.words_to_ids("ckd stage 5".split())
-        cids = list(artifact.cids)[:4]
-        engine = ShardedConceptEngine(model, ontology, artifact, shards=4)
-        before = engine.retrieve("ckd stage 5".split(), 5)
-        scores_before = engine.score_batch([query_ids] * len(cids), cids)
-        engine.close()
-        after = engine.retrieve("ckd stage 5".split(), 5)
-        scores_after = engine.score_batch([query_ids] * len(cids), cids)
-        assert after == before
-        np.testing.assert_array_equal(scores_after, scores_before)
-
-
-class TestShardTopology:
-    def test_round_robin_covers_every_concept(self, engine_stack, artifact):
-        ontology, _, model, _ = engine_stack
-        with ShardedConceptEngine(
-            model, ontology, artifact, shards=4
-        ) as engine:
-            stats = engine.stats()
-            assert stats["shards"] == 4
-            assert sum(stats["shard_sizes"]) == len(artifact)
-            assert max(stats["shard_sizes"]) - min(stats["shard_sizes"]) <= 1
-            for cid in artifact.cids:
-                assert cid in engine
-                assert 0 <= engine.shard_of(cid) < 4
-            with pytest.raises(DataError):
-                engine.shard_of("Z99.99")
-
-    def test_more_shards_than_concepts_is_rejected(self, engine_stack,
-                                                   artifact):
-        ontology, _, model, _ = engine_stack
-        with pytest.raises(ConfigurationError):
-            ShardedConceptEngine(
-                model, ontology, artifact, shards=len(artifact) + 1
-            )
-
-    def test_config_requires_artifact_for_sharding(self):
-        with pytest.raises(ConfigurationError):
-            LinkerConfig(shards=2)
-
-    def test_negative_scatter_threshold_is_rejected(self, engine_stack,
-                                                    artifact):
-        ontology, _, model, _ = engine_stack
-        with pytest.raises(ConfigurationError):
-            ShardedConceptEngine(
-                model, ontology, artifact, shards=2,
-                min_scatter_candidates=-1,
-            )
+    def test_linker_adopts_the_engine_generator(self, engine_stack):
+        # One Phase-I index per deployment: the linker's candidates are
+        # the engine's, not a second index over the same documents.
+        linker = make_engine_linker(engine_stack)
+        assert linker.candidates is linker.engine.candidates
 
 
 class TestShardFailures:
-    def test_one_dead_shard_degrades_retrieval_not_results(
-        self, engine_stack, artifact
-    ):
+    def test_retrieval_failure_propagates(self, engine_stack, artifact):
         ontology, _, model, _ = engine_stack
-        with ShardedConceptEngine(
-            model, ontology, artifact, shards=4
-        ) as engine:
-            with fault_injection(
-                {"engine.shard.retrieve": FaultSpec(times=1)}
-            ):
-                hits = engine.retrieve("ckd stage 5".split(), 5)
-            assert hits, "three healthy shards must still answer"
-            assert engine.stats()["retrieve_shard_failures"] == 1
-
-    def test_all_shards_dead_raises_shard_failure(self, engine_stack,
-                                                  artifact):
-        ontology, _, model, _ = engine_stack
-        with ShardedConceptEngine(
-            model, ontology, artifact, shards=2
-        ) as engine:
-            with fault_injection(
-                {"engine.shard.retrieve": FaultSpec(times=-1)}
-            ):
-                with pytest.raises(ShardFailure):
-                    engine.retrieve("ckd stage 5".split(), 5)
+        engine = ShardedConceptEngine(model, ontology, artifact)
+        with fault_injection({"engine.retrieve": FaultSpec(times=1)}):
+            with pytest.raises(InjectedFault):
+                engine.retrieve("ckd stage 5".split(), 5)
+        assert engine.retrieve("ckd stage 5".split(), 5)
 
     def test_scoring_failure_propagates_the_original_error(
         self, engine_stack, artifact
     ):
         ontology, _, model, _ = engine_stack
         query_ids = model.words_to_ids("ckd stage 5".split())
-        with ShardedConceptEngine(
-            model, ontology, artifact, shards=2
-        ) as engine:
-            with fault_injection({"engine.shard.score": FaultSpec(times=-1)}):
-                with pytest.raises(InjectedFault):
-                    engine.score_batch([query_ids], [artifact.cids[0]])
-
-    def test_scoring_failure_propagates_through_the_pool(
-        self, engine_stack, artifact
-    ):
-        """With the scatter forced, future.result() must re-raise the
-        worker's original exception type, not wrap it."""
-        ontology, _, model, _ = engine_stack
-        query_ids = model.words_to_ids("ckd stage 5".split())
-        cids = list(artifact.cids)[:4]
-        with ShardedConceptEngine(
-            model, ontology, artifact, shards=2,
-            min_scatter_candidates=0,
-        ) as engine:
-            with fault_injection({"engine.shard.score": FaultSpec(times=-1)}):
-                with pytest.raises(InjectedFault):
-                    engine.score_batch([query_ids] * len(cids), cids)
+        engine = ShardedConceptEngine(model, ontology, artifact)
+        with fault_injection({"engine.score": FaultSpec(times=-1)}):
+            with pytest.raises(InjectedFault):
+                engine.score_batch([query_ids], [artifact.cids[0]])
 
     def test_worker_death_mid_request_degrades_the_linker(self, engine_stack):
-        """A shard worker dying during Phase II must not fail the query:
-        ``degrade_on_error`` serves the Phase-I keyword ranking."""
-        linker = make_engine_linker(engine_stack, shards=4)
-        try:
-            clean = linker.link("ckd stage 5")
-            assert not clean.degraded
-            with fault_injection({"engine.shard.score": FaultSpec(times=-1)}):
-                result = linker.link("ckd stage 5")
-            assert result.degraded
-            assert result.degraded_reason.startswith("error:")
-            assert {c.cid for c in result.ranked} == {
-                c.cid for c in clean.ranked
-            }
-            keyword_scores = [c.keyword_score for c in result.ranked]
-            assert keyword_scores == sorted(keyword_scores, reverse=True)
-            assert all(c.log_prob == -math.inf for c in result.ranked)
-        finally:
-            if linker.engine is not None:
-                linker.engine.close()
+        """Engine scoring failing during Phase II must not fail the
+        query: ``degrade_on_error`` serves the Phase-I keyword ranking."""
+        linker = make_engine_linker(engine_stack)
+        clean = linker.link("ckd stage 5")
+        assert not clean.degraded
+        with fault_injection({"engine.score": FaultSpec(times=-1)}):
+            result = linker.link("ckd stage 5")
+        assert result.degraded
+        assert result.degraded_reason.startswith("error:")
+        assert {c.cid for c in result.ranked} == {
+            c.cid for c in clean.ranked
+        }
+        keyword_scores = [c.keyword_score for c in result.ranked]
+        assert keyword_scores == sorted(keyword_scores, reverse=True)
+        assert all(c.log_prob == -math.inf for c in result.ranked)

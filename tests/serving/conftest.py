@@ -116,7 +116,7 @@ def compiled_artifact(trained_pipeline, tmp_path_factory):
 
 @pytest.fixture
 def make_worker_linker(trained_pipeline, compiled_artifact):
-    """Factory for worker-shaped linkers: mmap'd artifact, fused Phase II.
+    """Factory for worker-shaped linkers over the mmap'd artifact.
 
     This is the exact configuration ``repro serve --workers N`` hands
     its forked children; tests override any knob per call.
@@ -127,7 +127,6 @@ def make_worker_linker(trained_pipeline, compiled_artifact):
         config_kwargs.setdefault("k", 5)
         config_kwargs.setdefault("artifact_dir", str(compiled_artifact))
         config_kwargs.setdefault("mmap_artifact", True)
-        config_kwargs.setdefault("fuse_phase2", True)
         return NeuralConceptLinker(
             model, ontology, LinkerConfig(**config_kwargs), kb=kb
         )

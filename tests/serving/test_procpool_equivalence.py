@@ -181,7 +181,6 @@ def equivalence_pair(trained_pipeline, compiled_artifact):
             k=5,
             artifact_dir=str(compiled_artifact),
             mmap_artifact=True,
-            fuse_phase2=True,
         ),
         kb=kb,
     )

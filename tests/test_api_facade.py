@@ -13,9 +13,9 @@ class TestSurface:
         # Minor bumps on compatible additions (1.1 added retrieval,
         # 1.2 the model lifecycle, 1.3 multi-process serving, 1.4
         # cross-process observability, 1.5 multi-tenant serving and
-        # cross-ontology mapping); the major component is the /v1
-        # route contract.
-        assert api.API_VERSION == "1.5"
+        # cross-ontology mapping, 1.6 the single-partition engine); the
+        # major component is the /v1 route contract.
+        assert api.API_VERSION == "1.6"
         assert api.API_VERSION.split(".")[0] == "1"
 
     def test_every_exported_name_resolves(self):

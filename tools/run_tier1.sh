@@ -10,7 +10,7 @@
 #   tools/run_tier1.sh --bench-phase2  # ... + batching benchmark
 #   tools/run_tier1.sh --bench-obs     # ... + tracing-overhead benchmark
 #   tools/run_tier1.sh --bench-obs-mp  # ... + cross-process tracing overhead
-#   tools/run_tier1.sh --bench-shard   # ... + shard-engine benchmark
+#   tools/run_tier1.sh --bench-shard   # ... + precompiled-engine vs runtime-encoding benchmark
 #   tools/run_tier1.sh --bench-retrieval  # ... + 100k retrieval benchmark
 #   tools/run_tier1.sh --bench-lifecycle  # ... + hot-swap lifecycle benchmark
 #   tools/run_tier1.sh --bench-mp      # ... + multi-process serving benchmark
@@ -42,7 +42,7 @@ for arg in "$@"; do
             python -m pytest -q benchmarks/test_obs_mp_overhead.py
             ;;
         --bench-shard)
-            echo "== shard engine benchmark (writes BENCH_shard.json) =="
+            echo "== precompiled engine vs runtime encoding benchmark (writes BENCH_shard.json) =="
             python -m pytest -q benchmarks/test_shard_engine.py
             ;;
         --bench-retrieval)
